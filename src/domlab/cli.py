@@ -17,10 +17,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .errors import (
+    BadParameterError,
     BudgetExhaustedError,
     DomLabError,
     SizeOverflowError,
@@ -43,7 +43,6 @@ from .harness import (
     all_pairs,
     check_pair,
     enumerate_connected_graphs,
-    inject_fault,
     pair_report_dict,
     pair_report_row,
     remark_search,
@@ -59,7 +58,6 @@ from .trace import (
     trace_report,
     verify_trace,
 )
-from .errors import BadParameterError
 
 _FAMILIES = {
     "path": path,
@@ -133,7 +131,15 @@ def _family_range(spec: str) -> list[Graph]:
 def _parse_domset(path_text: str, universe: int) -> VertexSet:
     with open(path_text, "r", encoding="ascii") as fh:
         tokens = fh.read().split()
-    return VertexSet.from_members(universe, [int(t) for t in tokens])
+    members = []
+    for t in tokens:
+        try:
+            members.append(int(t))
+        except ValueError:
+            raise BadParameterError(
+                f"bad vertex id {t!r} in dom-set file {path_text!r}"
+            ) from None
+    return VertexSet.from_members(universe, members)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_h")
     p.add_argument("--format", choices=["human", "csv", "jsonl"], default="human")
     p.add_argument("--with-trace", action="store_true", help="embed trace checks in jsonl")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser(
         "trace", parents=[common], help="build and verify one counting-argument trace"
@@ -203,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         " use as D; default is the solver's minimum dominating set",
     )
     p.add_argument("--format", choices=["human", "jsonl"], default="human")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser(
         "remark",
@@ -229,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--format", choices=["csv", "jsonl", "human"], default="csv")
     p.add_argument("--with-trace", action="store_true", help="embed trace checks in jsonl")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser(
         "enumerate",
@@ -316,8 +319,6 @@ def _cmd_check(args) -> int:
     g = resolve_graph(args.graph_g, args.seed)
     h = resolve_graph(args.graph_h, args.seed)
     report = check_pair(g, h, _limits(args))
-    if args.inject_fault:
-        report = inject_fault(report)
     if args.format == "csv":
         _emit(args, _csv_text([pair_report_row(report)]))
     elif args.format == "jsonl":
@@ -338,10 +339,6 @@ def _cmd_trace(args) -> int:
         dom = gamma_bb(pg.graph, limits).witness
     tr = build_trace(g, h, dom, limits=limits, product=pg)
     verdict = verify_trace(tr)
-    if args.inject_fault:
-        verdict = replace(
-            verdict, check_final=replace(verdict.check_final, passed=False)
-        )
     witnesses_clear = all(
         contradiction_witness(tr, v) is None for v in range(h.n)
     )
@@ -412,8 +409,6 @@ def _cmd_sweep(args) -> int:
     pairs = all_pairs(graphs) if args.pairs == "all" else zip_pairs(graphs)
     result = sweep(pairs, _limits(args), jobs=args.jobs)
     reports = list(result.reports)
-    if args.inject_fault and reports:
-        reports[0] = inject_fault(reports[0])
     any_violation = any(r.violated for r in reports)
     if args.format == "csv":
         _emit(args, _csv_text([pair_report_row(r) for r in reports]))

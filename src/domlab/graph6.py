@@ -98,8 +98,16 @@ def parse_graph6_lines(text: str) -> list[Graph]:
 
 
 def read_graph6_file(path: str) -> list[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph6_lines(fh.read())
+    """Decode a graph6 file; a non-ASCII byte is a Graph6Error at its file offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise Graph6Error(
+            f"non-ASCII byte {data[exc.start]:#04x} in {path!r}", exc.start
+        ) from None
+    return parse_graph6_lines(text)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -285,18 +285,17 @@ def is_dominating(g: Graph, s: VertexSet) -> bool:
     return mask == g.full_mask
 
 
-def cartesian_product(
-    g: Graph, h: Graph, max_vertices: int = MAX_PRODUCT_VERTICES
-) -> ProductGraph:
+def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     """Cartesian product G x H: (u, v) ~ (u', v') iff u == u' and vv' in E(H),
     or v == v' and uu' in E(G).
 
-    Raises SizeOverflowError when the product would exceed `max_vertices`.
+    Raises SizeOverflowError when the product would exceed MAX_PRODUCT_VERTICES.
     """
     n = g.n * h.n
-    if n > max_vertices:
+    if n > MAX_PRODUCT_VERTICES:
         raise SizeOverflowError(
-            f"product would have {n} vertices, above the limit of {max_vertices}"
+            f"product would have {n} vertices, above the limit of"
+            f" {MAX_PRODUCT_VERTICES}"
         )
     n_h = h.n
     # For a fixed u, the G-direction edges of (u, v) land at (w * n_h + v) for

@@ -10,17 +10,18 @@ argument on a solver-found minimum dominating set.  The bounds reported:
   bound_ST_body     ceil(gammaG*gammaH / 2) + min(gG, gH)
   bound_CS          ceil(gammaG*gammaH / 2)
 
-bound_ST_half and bound_ST_body are two published readings of the same
-prior bound that disagree with each other; both are computed so reports can
-show them side by side without taking a position.  Ceilings are taken
-because domination numbers are integers; the raw halves are kept too.
+bound_ST_half is the form Suen and Tarr prove.  bound_ST_body is not a lower
+bound: it exceeds gammaProduct on 19 of the 496 pairs of the sweep over
+connected graphs on <= 5 vertices (K1 x K1 has gamma 1 and bound_ST_body 2).
+It is kept only as a CSV column until the benchmark reference is
+regenerated.  Ceilings are taken because domination numbers are integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import BadParameterError, DomLabError, TooLargeError
@@ -78,9 +79,6 @@ class PairReport:
     bound_ST_half: int | None = None
     bound_ST_body: int | None = None
     bound_CS: int | None = None
-    raw_new: float | None = None
-    raw_ST_half: float | None = None
-    raw_CS: float | None = None
     slack_new: int | None = None
     trace_ok: bool | None = None
     verdict: TraceVerdict | None = None
@@ -90,9 +88,9 @@ class PairReport:
     def violated(self) -> bool:
         """True when this pair falsifies a verified bound or its trace.
 
-        Only the proven chain (bound_CS, bound_ST_half, bound_new) counts;
-        bound_conjecture is open and bound_ST_body is one unconfirmed reading,
-        so neither participates in violation status.
+        Only the proven chain (bound_CS, bound_ST_half, bound_new) counts.
+        bound_conjecture is open, and bound_ST_body is not a lower bound (the
+        <= 5 sweep refutes it on 19 of 496 pairs), so neither participates.
         """
         if self.error is not None:
             return False
@@ -171,9 +169,6 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
         bound_ST_half=_ceil_half(prod_term + lo),
         bound_ST_body=_ceil_half(prod_term) + lo,
         bound_CS=_ceil_half(prod_term),
-        raw_new=(prod_term + hi) / 2,
-        raw_ST_half=(prod_term + lo) / 2,
-        raw_CS=prod_term / 2,
         slack_new=rprod.gamma - bound_new,
         trace_ok=trace_ok,
         verdict=verdict,
@@ -239,15 +234,6 @@ def sweep(
         min_slack=min(slacks) if slacks else None,
         slack_counts=counts,
     )
-
-
-def inject_fault(report: PairReport) -> PairReport:
-    """Deliberately corrupt a report so violation paths can be exercised.
-
-    Valid inputs can never produce a violated report, so tests (and the CLI
-    fault hook) use this to drive the failure exit path.
-    """
-    return replace(report, slack_new=-1, trace_ok=False)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +382,6 @@ def pair_report_dict(r: PairReport, with_verdict: bool = False) -> dict:
         "bound_ST_half": r.bound_ST_half,
         "bound_ST_body": r.bound_ST_body,
         "bound_new": r.bound_new,
-        "raw_CS": r.raw_CS,
-        "raw_ST_half": r.raw_ST_half,
-        "raw_new": r.raw_new,
         "slack_new": r.slack_new,
         "trace_ok": r.trace_ok,
         "error": r.error,

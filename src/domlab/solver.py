@@ -53,11 +53,9 @@ class SolverLimits:
     """Resource limits for the branch-and-bound solver.
 
     `node_budget` caps the number of search nodes across one public call.
-    `candidate_mask`, when set, restricts which vertices may be chosen.
     """
 
     node_budget: int = DEFAULT_NODE_BUDGET
-    candidate_mask: VertexSet | None = None
 
     def __post_init__(self):
         if self.node_budget <= 0:
@@ -276,17 +274,11 @@ def gamma_oracle(g: Graph, guard: int = DEFAULT_ORACLE_GUARD) -> DominationResul
 def gamma_bb(g: Graph, limits: SolverLimits | None = None) -> DominationResult:
     """Exact domination number via branch-and-bound.
 
-    Honors `limits.candidate_mask` when present (see gamma_restricted for the
-    argument-passing variant).  Raises BudgetExhaustedError, carrying the best
-    upper bound seen, if the node budget runs out.
+    Raises BudgetExhaustedError, carrying the best upper bound seen, if the
+    node budget runs out.  gamma_restricted solves over a subset of vertices.
     """
     limits = limits or SolverLimits()
-    if limits.candidate_mask is None:
-        candidates = g.full_mask
-    else:
-        _check_universe(g, limits.candidate_mask)
-        candidates = limits.candidate_mask.mask
-    return _solve(g, candidates, limits.node_budget)
+    return _solve(g, g.full_mask, limits.node_budget)
 
 
 def gamma_restricted(
@@ -346,22 +338,21 @@ class MinimumSetEnumeration:
 def enumerate_minimum_dominating_sets(
     g: Graph,
     cap: int,
-    combination_budget: int = DEFAULT_COMBINATION_BUDGET,
     limits: SolverLimits | None = None,
 ) -> MinimumSetEnumeration:
     """Every dominating set of size exactly gamma(g), in lexicographic order.
 
     Stops after `cap` sets and flags truncation if at least one more exists.
     Raises TooLargeError when the size-gamma subset space itself exceeds
-    `combination_budget`.
+    DEFAULT_COMBINATION_BUDGET.
     """
     if cap <= 0:
         raise BadParameterError(f"cap must be positive, got {cap}")
     gamma = gamma_bb(g, limits).gamma
-    if math.comb(g.n, gamma) > combination_budget:
+    if math.comb(g.n, gamma) > DEFAULT_COMBINATION_BUDGET:
         raise TooLargeError(
             f"enumerating C({g.n}, {gamma}) subsets exceeds the budget of"
-            f" {combination_budget}"
+            f" {DEFAULT_COMBINATION_BUDGET}"
         )
     closed = g.closed
     full = g.full_mask

@@ -262,11 +262,34 @@ def _resolve_gamma(
     return hint.gamma
 
 
+def _dominated_product(
+    g: Graph, h: Graph, D: VertexSet, product: ProductGraph | None
+) -> tuple[ProductGraph, VertexSet]:
+    """The product g x h (built unless supplied) and D's projection Q onto g.
+
+    Raises when a supplied product does not match the factor sizes or when D
+    does not dominate the product.
+    """
+    if product is None:
+        pg = cartesian_product(g, h)
+    else:
+        if product.n_g != g.n or product.n_h != h.n:
+            raise BadParameterError(
+                "supplied product does not match the factor sizes"
+            )
+        pg = product
+    _check_universe(pg.graph, D)
+    if not is_dominating(pg.graph, D):
+        raise NotDominatingError("D does not dominate the product graph")
+    return pg, project_onto_G(pg, D)
+
+
 def _assemble(
     g: Graph,
     h: Graph,
     pg: ProductGraph,
     D: VertexSet,
+    Q: VertexSet,
     U: tuple[int, ...],
     gammaG: int,
     gammaH: int,
@@ -325,7 +348,7 @@ def _assemble(
         h=h,
         product=pg,
         D=D,
-        Q=project_onto_G(pg, D),
+        Q=Q,
         U=U,
         k=k,
         pi=pi,
@@ -360,22 +383,11 @@ def build_trace(
     which are re-checked before being trusted; anything else is recomputed.
     `product` may pass in a previously built product of the same factors.
     """
-    if product is None:
-        pg = cartesian_product(g, h)
-    else:
-        if product.n_g != g.n or product.n_h != h.n:
-            raise BadParameterError(
-                "supplied product does not match the factor sizes"
-            )
-        pg = product
-    _check_universe(pg.graph, D)
-    if not is_dominating(pg.graph, D):
-        raise NotDominatingError("D does not dominate the product graph")
-    Q = project_onto_G(pg, D)
+    pg, Q = _dominated_product(g, h, D, product)
     U = gamma_restricted(g, Q, limits).witness.members
     gammaG = _resolve_gamma(g, gamma_g, limits)
     gammaH = _resolve_gamma(h, gamma_h, limits)
-    return _assemble(g, h, pg, D, U, gammaG, gammaH)
+    return _assemble(g, h, pg, D, Q, U, gammaG, gammaH)
 
 
 # ---------------------------------------------------------------------------
@@ -560,25 +572,14 @@ def remark_trace(
     |C| >= sum_i (gammaH - |P_i| + |D_i|) >= gammaG*gammaH and the resulting
     2|D| >= 2*gammaG*gammaH.
     """
-    if product is None:
-        pg = cartesian_product(g, h)
-    else:
-        if product.n_g != g.n or product.n_h != h.n:
-            raise BadParameterError(
-                "supplied product does not match the factor sizes"
-            )
-        pg = product
-    _check_universe(pg.graph, D)
-    if not is_dominating(pg.graph, D):
-        raise NotDominatingError("D does not dominate the product graph")
-    Q = project_onto_G(pg, D)
+    pg, Q = _dominated_product(g, h, D, product)
     if not is_minimal_dominating(g, Q):
         raise ProjectionNotMinimalError(
             f"projection {Q.members} is not a minimal dominating set"
         )
     gammaG = gamma_bb(g, limits).gamma
     gammaH = gamma_bb(h, limits).gamma
-    trace = _assemble(g, h, pg, D, Q.members, gammaG, gammaH)
+    trace = _assemble(g, h, pg, D, Q, Q.members, gammaG, gammaH)
     base = verify_trace(trace)
 
     csize = len(trace.C)

@@ -232,6 +232,11 @@ def test_acceptance_6_bound_hierarchy(full_sweep):
         f"{len(full_sweep.result.reports)} pairs, {len(bad)} orderings broken",
     )
     assert bad == []
+    # bound_ST_body is not a lower bound: the sweep refutes it on 19 pairs.
+    refuted = [
+        r for r in full_sweep.result.reports if r.bound_ST_body > r.gammaProduct
+    ]
+    assert len(refuted) == 19
 
 
 # ---------------------------------------------------------------------------

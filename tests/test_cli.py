@@ -6,17 +6,25 @@ checked exactly; repeated runs must be byte-identical.
 
 from __future__ import annotations
 
+import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
-from domlab.cli import main
+from domlab import cli
+from domlab.cli import build_parser, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def corrupt(report):
+    """A report that fails its bound and its trace; valid input never gives one."""
+    return replace(report, slack_new=-1, trace_ok=False)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +134,10 @@ def test_check_jsonl_with_trace(capsys):
     assert len(rec["trace_checks"]) == 10
 
 
-def test_check_inject_fault_fails(capsys):
-    code, out, _ = run(capsys, "check", "path:3", "path:3", "--inject-fault")
+def test_check_inject_fault_fails(capsys, monkeypatch):
+    real = cli.check_pair
+    monkeypatch.setattr(cli, "check_pair", lambda *a, **kw: corrupt(real(*a, **kw)))
+    code, out, _ = run(capsys, "check", "path:3", "path:3")
     assert code == 1
 
 
@@ -178,8 +188,27 @@ def test_trace_dom_set_must_dominate(capsys, tmp_path):
     assert "dominate" in err
 
 
-def test_trace_inject_fault(capsys):
-    code, out, _ = run(capsys, "trace", "path:4", "complete:1", "--inject-fault")
+def test_trace_dom_set_bad_token(capsys, tmp_path):
+    p = tmp_path / "ds.txt"
+    p.write_text("0 x\n")
+    code, _, err = run(
+        capsys, "trace", "path:4", "complete:1", "--dom-set", str(p)
+    )
+    assert code == 2
+    assert "'x'" in err
+
+
+def test_trace_inject_fault(capsys, monkeypatch):
+    real = cli.verify_trace
+
+    def failing_final(tr):
+        verdict = real(tr)
+        return replace(
+            verdict, check_final=replace(verdict.check_final, passed=False)
+        )
+
+    monkeypatch.setattr(cli, "verify_trace", failing_final)
+    code, out, _ = run(capsys, "trace", "path:4", "complete:1")
     assert code == 1
     assert "result: CHECKS FAILED" in out
     assert "check_final        FAIL" in out
@@ -289,10 +318,17 @@ def test_sweep_jsonl_records(capsys):
     assert all(r["trace_all_passed"] for r in recs)
 
 
-def test_sweep_inject_fault(capsys):
+def test_sweep_inject_fault(capsys, monkeypatch):
+    real = cli.sweep
+
+    def first_corrupted(*a, **kw):
+        result = real(*a, **kw)
+        reports = (corrupt(result.reports[0]),) + result.reports[1:]
+        return replace(result, reports=reports)
+
+    monkeypatch.setattr(cli, "sweep", first_corrupted)
     code, out, _ = run(
-        capsys, "sweep", "--family", "paths:1..3", "--format", "csv",
-        "--inject-fault",
+        capsys, "sweep", "--family", "paths:1..3", "--format", "csv"
     )
     assert code == 1
     assert ",-1,false" in out.splitlines()[1]
@@ -351,6 +387,15 @@ def test_malformed_graph6_argument(capsys):
     assert "truncated" in err
 
 
+def test_non_ascii_graph6_file(capsys, tmp_path):
+    p = tmp_path / "bad.g6"
+    p.write_bytes(b"A_\xff\n")
+    code, _, err = run(capsys, "gamma", f"@{p}")
+    assert code == 2
+    assert "0xff" in err
+    assert "(byte 2)" in err
+
+
 def test_node_budget_exhaustion_exit_code(capsys):
     code, _, err = run(capsys, "gamma", "grid:6x6", "--node-budget", "10")
     assert code == 3
@@ -371,3 +416,14 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert "0.1.0" in out
+
+
+def test_no_hidden_options():
+    # Hidden flags are test hooks; tests patch the library instead.
+    parser = build_parser()
+    (subcommands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    for name, sub in subcommands.choices.items():
+        for action in sub._actions:
+            assert action.help != argparse.SUPPRESS, (name, action.option_strings)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import networkx as nx
 import pytest
@@ -19,7 +20,6 @@ from domlab import (
     encode_graph6,
     enumerate_connected_graphs,
     gamma_bb,
-    inject_fault,
     is_connected,
     pair_report_dict,
     pair_report_row,
@@ -44,7 +44,6 @@ def test_check_pair_p4_p4():
     assert r.bound_ST_half == 3
     assert r.bound_ST_body == 4
     assert r.bound_new == 3
-    assert r.raw_new == 3.0
     assert r.slack_new == 1
     assert r.trace_ok is True
     assert r.violated is False
@@ -100,9 +99,6 @@ def test_bound_definitions():
     assert r.bound_ST_half == -(-(prod + gh) // 2)
     assert r.bound_ST_body == -(-prod // 2) + gh
     assert r.bound_new == -(-(prod + gg) // 2)
-    assert r.raw_CS == prod / 2
-    assert r.raw_ST_half == (prod + gh) / 2
-    assert r.raw_new == (prod + gg) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +161,16 @@ def test_sweep_budget_error_is_per_pair():
 
 
 # ---------------------------------------------------------------------------
-# Fault injection
+# Violation status
 # ---------------------------------------------------------------------------
 
 
-def test_inject_fault_flips_violation():
+def test_corrupted_report_is_violated():
     r = check_pair(path(3), path(3))
     assert not r.violated
-    bad = inject_fault(r)
-    assert bad.slack_new == -1
-    assert bad.trace_ok is False
-    assert bad.violated
+    assert replace(r, slack_new=-1, trace_ok=False).violated
+    assert replace(r, trace_ok=False).violated
+    assert replace(r, gammaProduct=r.bound_new - 1).violated
 
 
 # ---------------------------------------------------------------------------

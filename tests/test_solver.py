@@ -55,6 +55,9 @@ def test_grid_values():
     assert gamma_bb(grid(2, 2)).gamma == 2
     assert gamma_bb(grid(3, 3)).gamma == 3
     assert gamma_bb(grid(4, 4)).gamma == 4
+    assert gamma_bb(grid(6, 6)).gamma == 10
+    assert gamma_bb(grid(7, 7)).gamma == 12
+    assert gamma_bb(grid(8, 8)).gamma == 16
 
 
 def test_grid_4x4_witness():
@@ -240,10 +243,9 @@ def test_enumerate_cap_must_be_positive():
 
 
 def test_enumerate_combination_budget():
+    # C(36, 10) ~ 2.5e8 subsets of size gamma = 10, above the default budget.
     with pytest.raises(TooLargeError):
-        enumerate_minimum_dominating_sets(
-            path(12), cap=10, combination_budget=100
-        )
+        enumerate_minimum_dominating_sets(grid(6, 6), cap=10)
 
 
 def test_enumerate_all_results_are_minimum_dominating():
