@@ -129,8 +129,15 @@ def _family_range(spec: str) -> list[Graph]:
 
 
 def _parse_domset(path_text: str, universe: int) -> VertexSet:
-    with open(path_text, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    with open(path_text, "rb") as fh:
+        data = fh.read()
+    try:
+        tokens = data.decode("ascii").split()
+    except UnicodeDecodeError as exc:
+        raise BadParameterError(
+            f"non-ASCII byte {data[exc.start]:#04x} in dom-set file"
+            f" {path_text!r} (byte {exc.start})"
+        ) from None
     members = []
     for t in tokens:
         try:

@@ -20,6 +20,7 @@ regenerated.  Ceilings are taken because domination numbers are integers.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -212,9 +213,10 @@ def sweep(
 ) -> SweepResult:
     """Run check_pair over many pairs, recording per-pair errors.
 
-    Output order always matches input order, regardless of `jobs`.
+    Output order always matches input order; `jobs` is capped at the CPU count.
     """
     limits = limits or SolverLimits()
+    jobs = min(jobs, os.cpu_count() or 1)
     work = [(g, h, limits) for g, h in pairs]
     if jobs <= 1:
         reports = [_checked_pair(w) for w in work]

@@ -5,20 +5,23 @@ vertex subsets by increasing size and is obviously correct but guarded to
 small graphs.  `gamma_bb` is a branch-and-bound search that must agree with
 the oracle wherever both run; the test suite holds it to that.
 
-Branch-and-bound design:
+Branch-and-bound design: one depth-first search, `complete(covered,
+allowed, slots)`, finds some set of at most `slots` picks from `allowed`
+that covers what `covered` leaves, or reports that none exists.
   * branch on the uncovered vertex with the fewest eligible dominators;
   * children are eligible dominators, ordered by descending fresh coverage
-    with index as the tie-break;
-  * a child already explored is removed from the eligible set of its later
-    siblings (every solution containing it was covered by its own subtree);
-  * lower bound: greedy packing of uncovered vertices whose eligible
-    dominator sets are pairwise disjoint;
-  * initial upper bound: greedy maximum-coverage dominating set.
+    with index as the tie-break; an explored child leaves the eligible set
+    of its later siblings (its own subtree covered every solution with it);
+  * prune when a greedy packing of uncovered vertices with pairwise
+    disjoint eligible dominator sets needs more than `slots` picks;
+  * the search keeps its own stack and pushes children in reverse, so it
+    visits nodes in recursion order without using Python's call stack.
 
-Witnesses are always the lexicographically smallest minimum solution, so
-every caller sees one reproducible answer.  The lexicographic witness is
-extracted after the minimum size is known, by fixing vertices in ascending
-order and keeping each one whose fixation still admits a completion.
+gamma starts at a greedy maximum-coverage dominating set and falls while
+`complete` finds a set one smaller.  The witness is the lexicographically
+smallest minimum solution, so every caller sees one reproducible answer:
+vertices are fixed in ascending order, each kept when `complete` still
+finds the rest.
 """
 
 from __future__ import annotations
@@ -64,10 +67,10 @@ class SolverLimits:
             )
 
 
-def _greedy_cover(closed: tuple[int, ...], full: int, allowed: int) -> list[int] | None:
+def _greedy_cover(closed: tuple[int, ...], full: int, allowed: int) -> int | None:
     """Max-coverage greedy dominating set from `allowed`, or None if impossible."""
     covered = 0
-    chosen: list[int] = []
+    chosen = 0
     while covered != full:
         best_v = -1
         best_gain = 0
@@ -82,7 +85,7 @@ def _greedy_cover(closed: tuple[int, ...], full: int, allowed: int) -> list[int]
                 best_v = v
         if best_gain == 0:
             return None
-        chosen.append(best_v)
+        chosen |= 1 << best_v
         covered |= closed[best_v]
     return chosen
 
@@ -113,14 +116,13 @@ def _packing_bound(closed: tuple[int, ...], full: int, covered: int, allowed: in
 class _BranchAndBound:
     """One search context: shared node budget, best solution so far."""
 
-    __slots__ = ("closed", "full", "budget", "nodes", "best_size", "best_mask")
+    __slots__ = ("closed", "full", "budget", "nodes", "best_mask")
 
     def __init__(self, g: Graph, node_budget: int):
         self.closed = g.closed
         self.full = g.full_mask
         self.budget = node_budget
         self.nodes = 0
-        self.best_size = 0
         self.best_mask = 0
 
     def _tick(self) -> None:
@@ -128,7 +130,7 @@ class _BranchAndBound:
         if self.nodes > self.budget:
             raise BudgetExhaustedError(
                 f"node budget {self.budget} exhausted",
-                upper_bound=self.best_size,
+                upper_bound=self.best_mask.bit_count(),
                 witness=self.best_mask,
             )
 
@@ -160,75 +162,62 @@ class _BranchAndBound:
 
     def minimize(self, allowed: int) -> int:
         """Exact minimum dominating-set size over the `allowed` candidates."""
-        greedy = _greedy_cover(self.closed, self.full, allowed)
-        if greedy is None:
+        best = _greedy_cover(self.closed, self.full, allowed)
+        if best is None:
             raise NotDominatingError("candidate set does not dominate the graph")
-        self.best_size = len(greedy)
-        mask = 0
-        for v in greedy:
-            mask |= 1 << v
-        self.best_mask = mask
-        self._minimize_from(0, 0, allowed, [])
-        return self.best_size
+        self.best_mask = best
+        while (found := self.complete(0, allowed, best.bit_count() - 1)) is not None:
+            self.best_mask = best = found
+        return best.bit_count()
 
-    def _minimize_from(self, count: int, covered: int, allowed: int, chosen: list[int]) -> None:
-        self._tick()
-        if covered == self.full:
-            if count < self.best_size:
-                self.best_size = count
-                mask = 0
-                for v in chosen:
-                    mask |= 1 << v
-                self.best_mask = mask
-            return
-        bound = _packing_bound(self.closed, self.full, covered, allowed)
-        if bound is None or count + bound >= self.best_size:
-            return
-        w = self._branch_vertex(covered, allowed)
-        for c in self._children(w, covered, allowed):
-            allowed &= ~(1 << c)
-            chosen.append(c)
-            self._minimize_from(count + 1, covered | self.closed[c], allowed, chosen)
-            chosen.pop()
-
-    def feasible(self, covered: int, allowed: int, slots: int) -> bool:
-        """Can `slots` further picks from `allowed` finish covering the graph?"""
-        self._tick()
-        if covered == self.full:
-            return True
-        if slots == 0:
-            return False
-        bound = _packing_bound(self.closed, self.full, covered, allowed)
-        if bound is None or bound > slots:
-            return False
-        w = self._branch_vertex(covered, allowed)
-        for c in self._children(w, covered, allowed):
-            allowed &= ~(1 << c)
-            if self.feasible(covered | self.closed[c], allowed, slots - 1):
-                return True
-        return False
+    def complete(self, covered: int, allowed: int, slots: int) -> int | None:
+        """Mask of at most `slots` picks from `allowed` that cover the rest
+        of the graph beyond `covered`, or None if no such picks exist."""
+        closed = self.closed
+        full = self.full
+        stack = [(covered, allowed, slots, 0)]
+        while stack:
+            covered, allowed, slots, picks = stack.pop()
+            self._tick()
+            if covered == full:
+                return picks
+            if slots == 0:
+                continue
+            bound = _packing_bound(closed, full, covered, allowed)
+            if bound is None or bound > slots:
+                continue
+            w = self._branch_vertex(covered, allowed)
+            children = []
+            for c in self._children(w, covered, allowed):
+                allowed &= ~(1 << c)
+                children.append(
+                    (covered | closed[c], allowed, slots - 1, picks | 1 << c)
+                )
+            stack.extend(reversed(children))
+        return None
 
     def lexmin_witness(self, gamma: int, candidates: int) -> int:
         """Lexicographically smallest dominating set of size `gamma`.
 
         Scans candidate vertices in ascending order; a vertex joins the
-        witness exactly when fixing it still leaves a feasible completion
-        among the strictly larger candidates.
+        witness exactly when fixing it still leaves a completion among the
+        strictly larger candidates.
         """
         covered = 0
         remaining = candidates
         mask = 0
         slots = gamma
         while slots:
-            # gamma is exact, so a feasible completion always exists and the
+            # gamma is exact, so a completion always exists and the
             # candidate pool cannot run dry before every slot is filled.
             assert remaining, "no candidates left with slots unfilled"
             bit = remaining & -remaining
             v = bit.bit_length() - 1
             remaining ^= bit
-            if self.feasible(covered | self.closed[v], remaining, slots - 1):
+            fixed = covered | self.closed[v]
+            if self.complete(fixed, remaining, slots - 1) is not None:
                 mask |= bit
-                covered |= self.closed[v]
+                covered = fixed
                 slots -= 1
         return mask
 

@@ -198,6 +198,18 @@ def test_trace_dom_set_bad_token(capsys, tmp_path):
     assert "'x'" in err
 
 
+def test_trace_dom_set_non_ascii(capsys, tmp_path):
+    p = tmp_path / "ds.txt"
+    p.write_bytes(b"0 1\xc3\xa9 2")
+    code, _, err = run(
+        capsys, "trace", "path:4", "complete:1", "--dom-set", str(p)
+    )
+    assert code == 2
+    assert "0xc3" in err
+    assert "(byte 3)" in err
+    assert "Traceback" not in err
+
+
 def test_trace_inject_fault(capsys, monkeypatch):
     real = cli.verify_trace
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import replace
 
 import networkx as nx
 import pytest
 
+import domlab.harness
 from domlab import (
     CSV_COLUMNS,
     BadParameterError,
@@ -140,6 +142,34 @@ def test_sweep_parallel_matches_serial():
         pair_report_row(r) for r in parallel.reports
     ]
     assert serial.slack_counts == parallel.slack_counts
+
+
+def test_sweep_caps_jobs_at_cpu_count(monkeypatch):
+    workers = []
+
+    class InlinePool:
+        # Runs the work in this process and records the requested pool size.
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(domlab.harness, "ProcessPoolExecutor", InlinePool)
+    pairs = all_pairs([path(n) for n in range(1, 4)])
+    cpus = os.cpu_count() or 1
+    capped = sweep(pairs, jobs=cpus + 1)
+    # With one CPU the cap is one job, which runs serially without a pool.
+    assert workers == ([cpus] if cpus > 1 else [])
+    assert [pair_report_row(r) for r in capped.reports] == [
+        pair_report_row(r) for r in sweep(pairs).reports
+    ]
 
 
 def test_sweep_records_errors_and_moves_on():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -13,8 +15,10 @@ from domlab import (
     SolverLimits,
     TooLargeError,
     VertexSet,
+    cartesian_product,
     complete,
     cycle,
+    enumerate_connected_graphs,
     enumerate_minimum_dominating_sets,
     gamma_bb,
     gamma_oracle,
@@ -71,6 +75,20 @@ def test_edgeless_graph_needs_every_vertex():
     assert gamma_bb(g).witness.members == (0, 1, 2, 3, 4)
 
 
+def test_search_depth_does_not_use_the_call_stack():
+    # Every one of the 150 vertices is a pick, so a search that recursed once
+    # per pick would need 150 frames above the caller's; allow only 50.
+    g = make_graph(150, [])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        r = gamma_bb(g)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert r.gamma == 150
+    assert r.witness == VertexSet.full(150)
+
+
 # ---------------------------------------------------------------------------
 # Witness contracts
 # ---------------------------------------------------------------------------
@@ -105,8 +123,17 @@ def test_oracle_witness_is_lex_first_too():
 
 def test_solver_agrees_with_oracle_on_random_graphs():
     rng = random.Random(7)
-    for _ in range(80):
-        g = random_graph(rng, max_n=11)
+    graphs = [random_graph(rng, max_n=11) for _ in range(80)]
+    # Products of connected factors with at most 12 vertices, the shape the
+    # sweep solves.
+    connected = [f for n in range(1, 7) for f in enumerate_connected_graphs(n)]
+    graphs += [
+        cartesian_product(f, h).graph
+        for f in connected
+        for h in connected
+        if f.n * h.n <= 12
+    ]
+    for g in graphs:
         a = gamma_oracle(g)
         b = gamma_bb(g)
         assert a.gamma == b.gamma
