@@ -8,7 +8,7 @@ supported; inputs using it are rejected with a clear error.
 from __future__ import annotations
 
 from .errors import BadParameterError, EmptyGraphError, Graph6Error
-from .graphs import Graph, make_graph
+from .graphs import MAX_PRODUCT_VERTICES, Graph, make_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -111,7 +111,11 @@ def read_graph6_file(path: str) -> list[Graph]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Decode the plain text format: a 'n m' header line, then m 'u v' lines."""
+    """Decode the plain text format: a 'n m' header line, then m 'u v' lines.
+
+    n may be at most MAX_PRODUCT_VERTICES, the largest product the library
+    builds, so a bad header cannot ask for unbounded memory.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise BadParameterError("empty edge-list text")
@@ -122,6 +126,11 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise BadParameterError(f"edge-list header must be 'n m', got {lines[0]!r}")
+    if n > MAX_PRODUCT_VERTICES:
+        raise BadParameterError(
+            f"edge-list header declares {n} vertices, above the limit of"
+            f" {MAX_PRODUCT_VERTICES}"
+        )
     if len(lines) - 1 != m:
         raise BadParameterError(
             f"edge-list header promises {m} edges, found {len(lines) - 1} lines"

@@ -19,13 +19,13 @@ regenerated.  Ceilings are taken because domination numbers are integers.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import BadParameterError, DomLabError, TooLargeError
+from .errors import BadParameterError, TooLargeError
 from .graph6 import encode_graph6
 from .graphs import Graph, VertexSet, cartesian_product, make_graph
 from .solver import (
@@ -180,7 +180,9 @@ def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
     g, h, limits = args
     try:
         return check_pair(g, h, limits)
-    except DomLabError as exc:
+    except Exception as exc:
+        # One failed pair, even RecursionError or MemoryError, becomes an
+        # error row; the rest of the sweep goes on.
         return PairReport(
             g6_G=encode_graph6(g) if g.n <= 62 else f"<n={g.n}>",
             g6_H=encode_graph6(h) if h.n <= 62 else f"<n={h.n}>",
@@ -221,7 +223,10 @@ def sweep(
     if jobs <= 1:
         reports = [_checked_pair(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Resolved on use: concurrent.futures loads the process pool, and
+        # with it multiprocessing, on first access, so serial sweeps and the
+        # other commands never pay for that import.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_checked_pair, work))
     violations = tuple(i for i, r in enumerate(reports) if r.violated)
     errors = tuple(i for i, r in enumerate(reports) if r.error is not None)

@@ -22,11 +22,20 @@ gamma starts at a greedy maximum-coverage dominating set and falls while
 smallest minimum solution, so every caller sees one reproducible answer:
 vertices are fixed in ascending order, each kept when `complete` still
 finds the rest.
+
+Minimum-set enumeration is a second explicit-stack search over the same
+packing bound.  It picks vertices in ascending order, so it yields the
+size-gamma dominating sets in the order `itertools.combinations` would
+test them, but it drops a branch as soon as the vertices not yet passed over
+cannot finish a cover: their packing bound exceeds the slots left, or the
+next pick would come after the last dominator of some uncovered vertex or
+leave too few vertices to fill the slots.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -222,6 +231,42 @@ class _BranchAndBound:
         return mask
 
 
+def _dominating_sets_of_size(
+    closed: tuple[int, ...], full: int, size: int
+) -> Iterator[int]:
+    """Masks of the dominating sets with exactly `size` members.
+
+    They come in the lexicographic order of their sorted members, which is
+    the order of `itertools.combinations`.
+    """
+    n = len(closed)
+    highest = [c.bit_length() - 1 for c in closed]
+    stack = [(0, 0, size, 0)]
+    while stack:
+        covered, i, slots, picks = stack.pop()
+        if slots == 0:
+            if covered == full:
+                yield picks
+            continue
+        bound = _packing_bound(closed, full, covered, full & ~((1 << i) - 1))
+        if bound is None or bound > slots:
+            continue
+        # Picks ascend, so the next one must leave room for the rest and must
+        # not pass any uncovered vertex's highest dominator.
+        last = n - slots
+        m = full & ~covered
+        while m:
+            bit = m & -m
+            m ^= bit
+            h = highest[bit.bit_length() - 1]
+            if h < last:
+                last = h
+        stack.extend(
+            (covered | closed[v], v + 1, slots - 1, picks | 1 << v)
+            for v in range(last, i - 1, -1)
+        )
+
+
 def _solve(g: Graph, candidates: int, node_budget: int) -> DominationResult:
     engine = _BranchAndBound(g, node_budget)
     try:
@@ -331,9 +376,12 @@ def enumerate_minimum_dominating_sets(
 ) -> MinimumSetEnumeration:
     """Every dominating set of size exactly gamma(g), in lexicographic order.
 
-    Stops after `cap` sets and flags truncation if at least one more exists.
-    Raises TooLargeError when the size-gamma subset space itself exceeds
-    DEFAULT_COMBINATION_BUDGET.
+    The sets come from a branch-and-bound search that never visits a subset
+    unable to complete a cover (see the module docstring), in the order of
+    `itertools.combinations(range(g.n), gamma)`.  Stops after `cap` sets and
+    flags truncation if at least one more exists.  Raises TooLargeError when
+    the size-gamma subset space C(n, gamma) exceeds
+    DEFAULT_COMBINATION_BUDGET, although the search does not visit it all.
     """
     if cap <= 0:
         raise BadParameterError(f"cap must be positive, got {cap}")
@@ -343,18 +391,11 @@ def enumerate_minimum_dominating_sets(
             f"enumerating C({g.n}, {gamma}) subsets exceeds the budget of"
             f" {DEFAULT_COMBINATION_BUDGET}"
         )
-    closed = g.closed
-    full = g.full_mask
     found: list[VertexSet] = []
     truncated = False
-    for combo in combinations(range(g.n), gamma):
-        mask = 0
-        for v in combo:
-            mask |= closed[v]
-        if mask != full:
-            continue
+    for mask in _dominating_sets_of_size(g.closed, g.full_mask, gamma):
         if len(found) == cap:
             truncated = True
             break
-        found.append(VertexSet.from_members(g.n, combo))
+        found.append(VertexSet(g.n, mask))
     return MinimumSetEnumeration(gamma, tuple(found), truncated)

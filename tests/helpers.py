@@ -78,6 +78,16 @@ def naive_gamma(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("every graph is dominated by all of V")
 
 
+def naive_minimum_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
+    """Every minimum dominating set, in `itertools.combinations` order."""
+    gamma = naive_gamma(g)[0]
+    return [
+        combo
+        for combo in itertools.combinations(range(g.n), gamma)
+        if naive_is_dominating(g, set(combo))
+    ]
+
+
 def naive_product_edges(g: Graph, h: Graph) -> set[tuple[int, int]]:
     """Cartesian product edges straight from the definition, as id pairs."""
     edges: set[tuple[int, int]] = set()

@@ -203,3 +203,5 @@ def test_edge_list_rejects_garbage():
         parse_edge_list("two three\n")
     with pytest.raises(BadParameterError):
         parse_edge_list("2 1\n0 one\n")
+    with pytest.raises(BadParameterError):
+        parse_edge_list(f"{10**30} 0\n")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import os
 from dataclasses import replace
@@ -161,7 +162,7 @@ def test_sweep_caps_jobs_at_cpu_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(domlab.harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     pairs = all_pairs([path(n) for n in range(1, 4)])
     cpus = os.cpu_count() or 1
     capped = sweep(pairs, jobs=cpus + 1)
@@ -182,6 +183,25 @@ def test_sweep_records_errors_and_moves_on():
     assert res.reports[1].violated is False
     assert res.reports[0].gammaProduct == 2
     assert res.ok
+
+
+def test_sweep_records_unexpected_exceptions_as_errors(monkeypatch):
+    pairs = [(path(2), path(2)), (path(2), path(3)), (path(2), path(4))]
+    clean = sweep(pairs)
+    real_check_pair = domlab.harness.check_pair
+
+    def check_pair_failing_on_p3(g, h, limits):
+        if h == path(3):
+            raise RecursionError("maximum recursion depth exceeded")
+        return real_check_pair(g, h, limits)
+
+    monkeypatch.setattr(domlab.harness, "check_pair", check_pair_failing_on_p3)
+    res = sweep(pairs)
+    assert res.errors == (1,)
+    assert res.reports[1].error == "RecursionError: maximum recursion depth exceeded"
+    assert res.reports[1].g6_H == encode_graph6(path(3))
+    for i in (0, 2):
+        assert pair_report_row(res.reports[i]) == pair_report_row(clean.reports[i])
 
 
 def test_sweep_budget_error_is_per_pair():
@@ -269,6 +289,24 @@ def test_remark_search_trivial_pairs_find_hits():
     rep2 = remark_search(path(3), complete(1))
     assert rep2.found is not None and rep2.found.members == (1,)
     assert rep2.count_min_sets == 1
+
+
+@pytest.mark.parametrize(
+    "g, h, expected",
+    [
+        (path(4), path(4), (4, 2, None, False)),
+        (path(5), path(5), (7, 5, 0x905809, False)),
+        (star(6), star(6), (6, 1, 0x3F, False)),
+        (cycle(6), cycle(5), (7, 60, None, False)),
+    ],
+    ids=["P4xP4", "P5xP5", "S6xS6", "C6xC5"],
+)
+def test_remark_search_pinned_pairs(g, h, expected):
+    # (gamma, sets examined, found as a vertex mask, truncated), as the
+    # exhaustive enumeration over all C(n, gamma) subsets answered.
+    rep = remark_search(g, h)
+    found = rep.found.mask if rep.found is not None else None
+    assert (rep.gamma_product, rep.count_min_sets, found, rep.truncated) == expected
 
 
 def test_remark_search_respects_cap():

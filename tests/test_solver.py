@@ -32,7 +32,12 @@ from domlab import (
     shrink_to_minimal,
     star,
 )
-from helpers import naive_gamma, random_dominating_set, random_graph
+from helpers import (
+    naive_gamma,
+    naive_minimum_dominating_sets,
+    random_dominating_set,
+    random_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +293,38 @@ def test_enumerate_all_results_are_minimum_dominating():
         for s in enum.sets:
             assert len(s) == gamma
             assert is_dominating(g, s)
+
+
+def test_enumerate_matches_brute_force_order_and_truncation():
+    connected = [f for n in range(1, 7) for f in enumerate_connected_graphs(n)]
+    graphs = [
+        cartesian_product(f, h).graph
+        for f in connected
+        for h in connected
+        if f.n * h.n <= 12
+    ]
+    assert len(graphs) == 596
+    rng = random.Random(4343)
+    graphs += [random_graph(rng, max_n=11) for _ in range(30)]
+    for g in graphs:
+        expected = naive_minimum_dominating_sets(g)
+        for cap in (1, 2, len(expected) + 1):
+            enum = enumerate_minimum_dominating_sets(g, cap=cap)
+            assert enum.gamma == len(expected[0])
+            assert [s.members for s in enum.sets] == expected[:cap]
+            assert enum.truncated == (len(expected) > cap)
+
+
+def test_enumerate_does_not_use_the_call_stack():
+    # The one minimum set holds all 150 vertices; allow 50 frames, as in
+    # test_search_depth_does_not_use_the_call_stack.
+    g = make_graph(150, [])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        enum = enumerate_minimum_dominating_sets(g, cap=2)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert enum.gamma == 150
+    assert enum.sets == (VertexSet.full(150),)
+    assert not enum.truncated
