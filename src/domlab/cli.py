@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .graph6 import encode_graph6, format_edge_list, parse_graph6, read_graph6_file
 from .graphs import (
+    MAX_PRODUCT_VERTICES,
     Graph,
     VertexSet,
     cartesian_product,
@@ -52,7 +54,6 @@ from .harness import (
 from .solver import DEFAULT_ORACLE_GUARD, SolverLimits, gamma_bb, gamma_oracle
 from .trace import (
     build_trace,
-    contradiction_witness,
     format_check,
     remark_trace,
     trace_report,
@@ -81,7 +82,8 @@ def resolve_graph(spec: str, default_seed: int = 0) -> Graph:
             dims = rest.lower().split("x")
             if len(dims) != 2:
                 raise BadParameterError(f"grid spec must be grid:MxN, got {spec!r}")
-            return grid(_int_param(dims[0], spec), _int_param(dims[1], spec))
+            m, n = (_int_param(d, spec) for d in dims)
+            return _family_graph(grid, m, n)
         if name == "gnp":
             parts = rest.split(":")
             if len(parts) == 2:
@@ -98,11 +100,22 @@ def resolve_graph(spec: str, default_seed: int = 0) -> Graph:
                 prob = float(p)
             except ValueError:
                 raise BadParameterError(f"bad probability in {spec!r}")
-            return random_gnp(_int_param(n, spec), prob, seed)
+            return _family_graph(random_gnp, _int_param(n, spec), p=prob, seed=seed)
         if name in _FAMILIES:
-            return _FAMILIES[name](_int_param(rest, spec))
+            return _family_graph(_FAMILIES[name], _int_param(rest, spec))
         raise BadParameterError(f"unknown graph family {head!r} in {spec!r}")
     return parse_graph6(spec)
+
+
+def _family_graph(build, *sizes: int, **params) -> Graph:
+    """`build(*sizes, **params)`, refused before it runs when the graph would
+    have more than MAX_PRODUCT_VERTICES vertices.  `build` rejects sizes < 1."""
+    n = math.prod(max(size, 0) for size in sizes)
+    if n > MAX_PRODUCT_VERTICES:
+        raise SizeOverflowError(
+            f"graph would have {n} vertices, above the limit of {MAX_PRODUCT_VERTICES}"
+        )
+    return build(*sizes, **params)
 
 
 def _int_param(text: str, spec: str) -> int:
@@ -125,7 +138,11 @@ def _family_range(spec: str) -> list[Graph]:
     hi = _int_param(hi_text, spec)
     if lo > hi:
         raise BadParameterError(f"empty range in {spec!r}")
-    return [_FAMILIES[name](n) for n in range(lo, hi + 1)]
+    build = _FAMILIES[name]
+    # The two ends first, so a bad or oversized range fails at once.
+    first, last = _family_graph(build, lo), _family_graph(build, hi)
+    middle = [_family_graph(build, n) for n in range(lo + 1, hi)]
+    return [first, *middle, last] if lo < hi else [first]
 
 
 def _parse_domset(path_text: str, universe: int) -> VertexSet:
@@ -346,10 +363,9 @@ def _cmd_trace(args) -> int:
         dom = gamma_bb(pg.graph, limits).witness
     tr = build_trace(g, h, dom, limits=limits, product=pg)
     verdict = verify_trace(tr)
-    witnesses_clear = all(
-        contradiction_witness(tr, v) is None for v in range(h.n)
-    )
-    ok = verdict.all_passed and witnesses_clear
+    # check_R fails exactly when some layer has a contradiction witness.
+    witnesses_clear = verdict.check_R.passed
+    ok = verdict.all_passed
     if args.format == "jsonl":
         _emit(args, json.dumps(trace_report(tr, verdict)) + "\n")
     else:

@@ -8,12 +8,14 @@ the oracle wherever both run; the test suite holds it to that.
 Branch-and-bound design: one depth-first search, `complete(covered,
 allowed, slots)`, finds some set of at most `slots` picks from `allowed`
 that covers what `covered` leaves, or reports that none exists.
-  * branch on the uncovered vertex with the fewest eligible dominators;
+  * one walk over the uncovered vertices (`_scan`) prunes the node when a
+    vertex has no eligible dominator, or when a greedy packing of vertices
+    with pairwise disjoint eligible dominator sets (each forces its own
+    pick) passes `slots`; else it branches on the vertex with the fewest
+    eligible dominators;
   * children are eligible dominators, ordered by descending fresh coverage
     with index as the tie-break; an explored child leaves the eligible set
     of its later siblings (its own subtree covered every solution with it);
-  * prune when a greedy packing of uncovered vertices with pairwise
-    disjoint eligible dominator sets needs more than `slots` picks;
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
@@ -24,12 +26,12 @@ vertices are fixed in ascending order, each kept when `complete` still
 finds the rest.
 
 Minimum-set enumeration is a second explicit-stack search over the same
-packing bound.  It picks vertices in ascending order, so it yields the
-size-gamma dominating sets in the order `itertools.combinations` would
-test them, but it drops a branch as soon as the vertices not yet passed over
-cannot finish a cover: their packing bound exceeds the slots left, or the
-next pick would come after the last dominator of some uncovered vertex or
-leave too few vertices to fill the slots.
+`_scan`.  It picks vertices in ascending order, so it yields the size-gamma
+dominating sets in the order `itertools.combinations` would test them, but
+it drops a branch as soon as the vertices not yet passed over cannot finish
+a cover: `_scan` finds the node dead, or the next pick would come after the
+last eligible dominator of some uncovered vertex (the walk's second answer)
+or leave too few vertices to fill the slots.
 """
 
 from __future__ import annotations
@@ -99,15 +101,19 @@ def _greedy_cover(closed: tuple[int, ...], full: int, allowed: int) -> int | Non
     return chosen
 
 
-def _packing_bound(closed: tuple[int, ...], full: int, covered: int, allowed: int) -> int | None:
-    """Lower bound on how many further vertices any completion needs.
-
-    Greedily packs uncovered vertices whose eligible dominator sets are
-    pairwise disjoint; each packed vertex forces one distinct pick.  Returns
-    None when some uncovered vertex has no eligible dominator at all.
-    """
+def _scan(
+    closed: tuple[int, ...], full: int, covered: int, allowed: int, slots: int
+) -> tuple[int, int] | None:
+    """Walk a search node's uncovered vertices once.  None when the node is
+    dead: an uncovered vertex has no eligible dominator, or the packing bound
+    (module docstring) exceeds `slots`.  Else `(branch, last)`: the uncovered
+    vertex with the fewest eligible dominators, lowest id on ties, and the
+    smallest highest eligible dominator of an uncovered vertex."""
     count = 0
     used = 0
+    branch = -1
+    fewest = 1 << 30
+    last = full.bit_length()
     m = full & ~covered
     while m:
         bit = m & -m
@@ -117,17 +123,27 @@ def _packing_bound(closed: tuple[int, ...], full: int, covered: int, allowed: in
         if dom == 0:
             return None
         if dom & used == 0:
-            used |= dom
             count += 1
-    return count
+            if count > slots:
+                return None
+            used |= dom
+        k = dom.bit_count()
+        if k < fewest:
+            fewest = k
+            branch = w
+        h = dom.bit_length() - 1
+        if h < last:
+            last = h
+    return branch, last
 
 
 class _BranchAndBound:
     """One search context: shared node budget, best solution so far."""
 
-    __slots__ = ("closed", "full", "budget", "nodes", "best_mask")
+    __slots__ = ("n", "closed", "full", "budget", "nodes", "best_mask")
 
     def __init__(self, g: Graph, node_budget: int):
+        self.n = g.n
         self.closed = g.closed
         self.full = g.full_mask
         self.budget = node_budget
@@ -140,23 +156,8 @@ class _BranchAndBound:
             raise BudgetExhaustedError(
                 f"node budget {self.budget} exhausted",
                 upper_bound=self.best_mask.bit_count(),
-                witness=self.best_mask,
+                witness=VertexSet(self.n, self.best_mask),
             )
-
-    def _branch_vertex(self, covered: int, allowed: int) -> int:
-        # Uncovered vertex with the fewest eligible dominators, lowest id wins ties.
-        best_v = -1
-        best_count = 1 << 30
-        m = self.full & ~covered
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            m ^= bit
-            c = (self.closed[v] & allowed).bit_count()
-            if c < best_count:
-                best_count = c
-                best_v = v
-        return best_v
 
     def _children(self, w: int, covered: int, allowed: int) -> list[int]:
         cands = []
@@ -190,14 +191,11 @@ class _BranchAndBound:
             self._tick()
             if covered == full:
                 return picks
-            if slots == 0:
+            scan = _scan(closed, full, covered, allowed, slots)
+            if scan is None:
                 continue
-            bound = _packing_bound(closed, full, covered, allowed)
-            if bound is None or bound > slots:
-                continue
-            w = self._branch_vertex(covered, allowed)
             children = []
-            for c in self._children(w, covered, allowed):
+            for c in self._children(scan[0], covered, allowed):
                 allowed &= ~(1 << c)
                 children.append(
                     (covered | closed[c], allowed, slots - 1, picks | 1 << c)
@@ -240,7 +238,6 @@ def _dominating_sets_of_size(
     the order of `itertools.combinations`.
     """
     n = len(closed)
-    highest = [c.bit_length() - 1 for c in closed]
     stack = [(0, 0, size, 0)]
     while stack:
         covered, i, slots, picks = stack.pop()
@@ -248,19 +245,12 @@ def _dominating_sets_of_size(
             if covered == full:
                 yield picks
             continue
-        bound = _packing_bound(closed, full, covered, full & ~((1 << i) - 1))
-        if bound is None or bound > slots:
+        scan = _scan(closed, full, covered, full & ~((1 << i) - 1), slots)
+        if scan is None:
             continue
         # Picks ascend, so the next one must leave room for the rest and must
         # not pass any uncovered vertex's highest dominator.
-        last = n - slots
-        m = full & ~covered
-        while m:
-            bit = m & -m
-            m ^= bit
-            h = highest[bit.bit_length() - 1]
-            if h < last:
-                last = h
+        last = min(n - slots, scan[1])
         stack.extend(
             (covered | closed[v], v + 1, slots - 1, picks | 1 << v)
             for v in range(last, i - 1, -1)
@@ -269,16 +259,8 @@ def _dominating_sets_of_size(
 
 def _solve(g: Graph, candidates: int, node_budget: int) -> DominationResult:
     engine = _BranchAndBound(g, node_budget)
-    try:
-        gamma = engine.minimize(candidates)
-        witness = engine.lexmin_witness(gamma, candidates)
-    except BudgetExhaustedError as exc:
-        # Re-raise with the best-so-far witness in public VertexSet form.
-        raise BudgetExhaustedError(
-            str(exc),
-            upper_bound=exc.upper_bound,
-            witness=VertexSet(g.n, exc.witness) if exc.witness else None,
-        ) from None
+    gamma = engine.minimize(candidates)
+    witness = engine.lexmin_witness(gamma, candidates)
     return DominationResult(gamma, VertexSet(g.n, witness))
 
 
@@ -385,7 +367,8 @@ def enumerate_minimum_dominating_sets(
     """
     if cap <= 0:
         raise BadParameterError(f"cap must be positive, got {cap}")
-    gamma = gamma_bb(g, limits).gamma
+    limits = limits or SolverLimits()
+    gamma = _BranchAndBound(g, limits.node_budget).minimize(g.full_mask)
     if math.comb(g.n, gamma) > DEFAULT_COMBINATION_BUDGET:
         raise TooLargeError(
             f"enumerating C({g.n}, {gamma}) subsets exceeds the budget of"

@@ -393,6 +393,19 @@ def test_bad_family_spec(capsys):
     assert "unknown graph family" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("gamma", "path:200000000"), ("sweep", "--family", "paths:1..200000000")],
+    ids=["gamma", "sweep"],
+)
+def test_oversized_family_spec_hits_the_size_guard(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("domlab: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_malformed_graph6_argument(capsys):
     code, _, err = run(capsys, "gamma", "D")
     assert code == 2

@@ -9,7 +9,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domlab import DomLabError, parse_edge_list, parse_graph6, parse_graph6_lines
+from domlab import (
+    MAX_PRODUCT_VERTICES,
+    DomLabError,
+    parse_edge_list,
+    parse_graph6,
+    parse_graph6_lines,
+)
 from domlab.cli import resolve_graph
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=400, database=None)
@@ -23,8 +29,10 @@ graph6_text = st.one_of(
 
 small_ints = st.integers(min_value=-5, max_value=50)
 # int() reads only decimal digits (category Nd), so this text never parses
-# to an integer above 50.
+# to an integer.
 non_digit_text = st.text(st.characters(exclude_categories=("Nd",)), max_size=4)
+# Family sizes: small ones that get built, and ones past the size guard.
+family_ints = st.one_of(small_ints, st.integers(MAX_PRODUCT_VERTICES + 1, 10**30))
 
 
 @st.composite
@@ -46,13 +54,14 @@ def edge_list_text(draw):
 
 @st.composite
 def graph_spec(draw):
-    """Family specs with integers <= 50, or text that goes to the graph6 parser."""
+    """Family specs with small or oversized integers, or text that goes to
+    the graph6 parser."""
     head = draw(
         st.sampled_from(["path", "cycle", "complete", "star", "grid", "gnp", "Path", "paths", ""])
     )
     params = draw(
         st.lists(
-            st.one_of(small_ints.map(str), st.floats().map(str), non_digit_text),
+            st.one_of(family_ints.map(str), st.floats().map(str), non_digit_text),
             max_size=3,
         )
     )
@@ -94,6 +103,5 @@ def test_parse_edge_list_raises_only_domlab_errors(text):
     )
 )
 def test_resolve_graph_raises_only_domlab_errors(spec):
-    # Small specs only: a family of a billion vertices is a memory guard
-    # question, not a parsing one, and "@file" reads the file system.
+    # No "@file" specs: they read the file system.
     _only_domlab_errors(resolve_graph, spec)

@@ -178,6 +178,27 @@ def test_budget_exhaustion_carries_a_usable_bound():
     assert len(exc.value.witness) == exc.value.upper_bound
 
 
+@pytest.mark.parametrize(
+    "g, nodes",
+    [
+        (grid(7, 7), 1_931),
+        (grid(8, 8), 10_190),
+        (cartesian_product(cycle(6), path(5)).graph, 345),
+    ],
+    ids=["grid7x7", "grid8x8", "C6xP5"],
+)
+def test_node_counts_are_pinned(g, nodes):
+    # The search's exact node count (minimize plus the witness pass): a
+    # change to pruning, branching or child order moves it.
+    result = gamma_bb(g, SolverLimits(node_budget=nodes))
+    with pytest.raises(BudgetExhaustedError) as exc:
+        gamma_bb(g, SolverLimits(node_budget=nodes - 1))
+    witness = exc.value.witness
+    assert isinstance(witness, VertexSet)
+    assert is_dominating(g, witness)
+    assert len(witness) == exc.value.upper_bound == result.gamma
+
+
 def test_large_budget_is_never_hit_on_small_graphs():
     g = grid(4, 4)
     assert gamma_bb(g, SolverLimits(node_budget=10_000_000)).gamma == 4
@@ -313,6 +334,20 @@ def test_enumerate_matches_brute_force_order_and_truncation():
             assert enum.gamma == len(expected[0])
             assert [s.members for s in enum.sets] == expected[:cap]
             assert enum.truncated == (len(expected) > cap)
+
+
+def test_enumerate_charges_the_budget_for_gamma_only():
+    # gamma alone takes 203 nodes here; the lexicographic witness pass that
+    # gamma_bb adds (345 nodes in all) is not run, and the enumeration
+    # itself is not charged.
+    g = cartesian_product(cycle(6), path(5)).graph
+    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=203))
+    assert res.gamma == 8
+    assert [tuple(s) for s in res.sets] == [(0, 1, 3, 4, 12, 15, 19, 22)]
+    with pytest.raises(BudgetExhaustedError) as exc:
+        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=202))
+    assert isinstance(exc.value.witness, VertexSet)
+    assert is_dominating(g, exc.value.witness)
 
 
 def test_enumerate_does_not_use_the_call_stack():
