@@ -431,8 +431,7 @@ def _cmd_sweep(args) -> int:
         graphs = _family_range(args.family)
     pairs = all_pairs(graphs) if args.pairs == "all" else zip_pairs(graphs)
     result = sweep(pairs, _limits(args), jobs=args.jobs)
-    reports = list(result.reports)
-    any_violation = any(r.violated for r in reports)
+    reports = result.reports
     if args.format == "csv":
         _emit(args, _csv_text([pair_report_row(r) for r in reports]))
     elif args.format == "jsonl":
@@ -456,11 +455,11 @@ def _cmd_sweep(args) -> int:
         )
         lines.append(
             f"pairs={len(reports)} errors={len(result.errors)}"
-            f" violations={sum(1 for r in reports if r.violated)}"
+            f" violations={len(result.violations)}"
             f" min_slack={result.min_slack} slack_counts[{slack_text}]"
         )
         _emit(args, "\n".join(lines) + "\n")
-    return 1 if any_violation else 0
+    return 1 if result.violations else 0
 
 
 def _cmd_enumerate(args) -> int:

@@ -317,19 +317,6 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     return ProductGraph(Graph(n, rows, name), g.n, n_h)
 
 
-def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0 over bitmask rows."""
-    visited = 1
-    frontier = 1
-    while frontier:
-        step = 0
-        for v in _iter_bits(frontier):
-            step |= g.adj[v]
-        frontier = step & ~visited
-        visited |= frontier
-    return visited == g.full_mask
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
@@ -354,8 +341,8 @@ def complete(n: int) -> Graph:
     """Complete graph on n >= 1 vertices."""
     if n < 1:
         raise BadParameterError(f"complete needs n >= 1, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return make_graph(n, edges, name=f"K{n}")
+    full = (1 << n) - 1
+    return Graph(n, [full ^ (1 << v) for v in range(n)], name=f"K{n}")
 
 
 def star(n: int) -> Graph:

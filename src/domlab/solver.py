@@ -26,7 +26,8 @@ vertices are fixed in ascending order, each kept when `complete` still
 finds the rest.
 
 Minimum-set enumeration is a second explicit-stack search over the same
-`_scan`.  It picks vertices in ascending order, so it yields the size-gamma
+`_scan`, run by the engine that found gamma and charged to the same node
+budget.  It picks vertices in ascending order, so it yields the size-gamma
 dominating sets in the order `itertools.combinations` would test them, but
 it drops a branch as soon as the vertices not yet passed over cannot finish
 a cover: `_scan` finds the node dead, or the next pick would come after the
@@ -36,7 +37,6 @@ or leave too few vertices to fill the slots.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -51,7 +51,6 @@ from .graphs import Graph, VertexSet, _check_universe, is_dominating
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_ORACLE_GUARD = 16
-DEFAULT_COMBINATION_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -228,33 +227,33 @@ class _BranchAndBound:
                 slots -= 1
         return mask
 
+    def dominating_sets(self, size: int) -> Iterator[int]:
+        """Masks of the dominating sets with exactly `size` members.
 
-def _dominating_sets_of_size(
-    closed: tuple[int, ...], full: int, size: int
-) -> Iterator[int]:
-    """Masks of the dominating sets with exactly `size` members.
-
-    They come in the lexicographic order of their sorted members, which is
-    the order of `itertools.combinations`.
-    """
-    n = len(closed)
-    stack = [(0, 0, size, 0)]
-    while stack:
-        covered, i, slots, picks = stack.pop()
-        if slots == 0:
-            if covered == full:
-                yield picks
-            continue
-        scan = _scan(closed, full, covered, full & ~((1 << i) - 1), slots)
-        if scan is None:
-            continue
-        # Picks ascend, so the next one must leave room for the rest and must
-        # not pass any uncovered vertex's highest dominator.
-        last = min(n - slots, scan[1])
-        stack.extend(
-            (covered | closed[v], v + 1, slots - 1, picks | 1 << v)
-            for v in range(last, i - 1, -1)
-        )
+        They come in the lexicographic order of their sorted members, which
+        is the order of `itertools.combinations`.
+        """
+        closed = self.closed
+        full = self.full
+        n = self.n
+        stack = [(0, 0, size, 0)]
+        while stack:
+            covered, i, slots, picks = stack.pop()
+            self._tick()
+            if slots == 0:
+                if covered == full:
+                    yield picks
+                continue
+            scan = _scan(closed, full, covered, full & ~((1 << i) - 1), slots)
+            if scan is None:
+                continue
+            # Picks ascend, so the next one must leave room for the rest and
+            # must not pass any uncovered vertex's highest dominator.
+            last = min(n - slots, scan[1])
+            stack.extend(
+                (covered | closed[v], v + 1, slots - 1, picks | 1 << v)
+                for v in range(last, i - 1, -1)
+            )
 
 
 def _solve(g: Graph, candidates: int, node_budget: int) -> DominationResult:
@@ -308,8 +307,6 @@ def gamma_restricted(
     """
     limits = limits or SolverLimits()
     _check_universe(g, candidates)
-    if not is_dominating(g, candidates):
-        raise NotDominatingError("candidate set does not dominate the graph")
     return _solve(g, candidates.mask, limits.node_budget)
 
 
@@ -361,22 +358,18 @@ def enumerate_minimum_dominating_sets(
     The sets come from a branch-and-bound search that never visits a subset
     unable to complete a cover (see the module docstring), in the order of
     `itertools.combinations(range(g.n), gamma)`.  Stops after `cap` sets and
-    flags truncation if at least one more exists.  Raises TooLargeError when
-    the size-gamma subset space C(n, gamma) exceeds
-    DEFAULT_COMBINATION_BUDGET, although the search does not visit it all.
+    flags truncation if at least one more exists.  Finding gamma and listing
+    the sets share one node budget; when it runs out, BudgetExhaustedError
+    carries a minimum dominating set as its witness.
     """
     if cap <= 0:
         raise BadParameterError(f"cap must be positive, got {cap}")
     limits = limits or SolverLimits()
-    gamma = _BranchAndBound(g, limits.node_budget).minimize(g.full_mask)
-    if math.comb(g.n, gamma) > DEFAULT_COMBINATION_BUDGET:
-        raise TooLargeError(
-            f"enumerating C({g.n}, {gamma}) subsets exceeds the budget of"
-            f" {DEFAULT_COMBINATION_BUDGET}"
-        )
+    engine = _BranchAndBound(g, limits.node_budget)
+    gamma = engine.minimize(g.full_mask)
     found: list[VertexSet] = []
     truncated = False
-    for mask in _dominating_sets_of_size(g.closed, g.full_mask, gamma):
+    for mask in engine.dominating_sets(gamma):
         if len(found) == cap:
             truncated = True
             break

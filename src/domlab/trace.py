@@ -56,6 +56,7 @@ from .graphs import (
     VertexSet,
     _check_universe,
     cartesian_product,
+    closed_neighborhood_set,
     is_dominating,
 )
 from .solver import (
@@ -320,7 +321,6 @@ def _assemble(
         P.append(project_onto_H(pg, Dparts[-1]))
 
     col0 = _spread(g.full_mask, n_h)
-    closed_prod = pg.graph.closed
     block_spread = [_spread(bm, n_h) for bm in block_masks]
 
     Qv = []
@@ -328,14 +328,8 @@ def _assemble(
     Lsizes = [0] * k
     Rsizes = [0] * n_h
     for v in range(n_h):
-        q_mask = dmask & (col0 << v)
-        Qv.append(VertexSet(N, q_mask))
-        covered = 0
-        m = q_mask
-        while m:
-            bit = m & -m
-            covered |= closed_prod[bit.bit_length() - 1]
-            m ^= bit
+        Qv.append(VertexSet(N, dmask & (col0 << v)))
+        covered = closed_neighborhood_set(pg.graph, Qv[-1]).mask
         for i in range(k):
             layer = block_spread[i] << v
             if layer & ~covered == 0:
@@ -416,12 +410,9 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
     csize = len(t.C)
 
     # V(H) - N_H[P_i] per block.
-    comp_masks = []
-    for P_i in t.P:
-        covered = 0
-        for v in P_i:
-            covered |= h.closed[v]
-        comp_masks.append(h.full_mask & ~covered)
+    comp_masks = [
+        h.full_mask & ~closed_neighborhood_set(h, P_i).mask for P_i in t.P
+    ]
 
     v_T = [f"i={i}: |T_i|={len(t.T[i])}" for i in range(k) if len(t.T[i]) < 1]
     check_T = _quantified("check_T", "every |T_i| >= 1", v_T)

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import pytest
 
+import domlab.harness
 from domlab import cli
 from domlab.cli import build_parser, main
 
@@ -253,6 +254,26 @@ def test_remark_hit_runs_sharpened_checks(capsys):
     assert out.endswith("result: all checks passed\n")
 
 
+def test_remark_lists_a_grid_with_many_size_gamma_subsets(capsys):
+    # C(36, 10) ~ 2.5e8 subsets have the product's minimum size; the search
+    # visits about 22,000 nodes.
+    code, out, err = run(capsys, "remark", "grid:6x6", "path:1")
+    assert code == 0
+    assert err == ""
+    assert "gamma(product) = 10\n" in out
+    assert "minimum dominating sets examined: 1\n" in out
+    assert out.endswith("result: all checks passed\n")
+
+
+def test_remark_stops_when_the_node_budget_runs_out(capsys):
+    code, out, err = run(
+        capsys, "remark", "grid:6x6", "path:1", "--node-budget", "1000"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "domlab: node budget 1000 exhausted\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -331,14 +352,17 @@ def test_sweep_jsonl_records(capsys):
 
 
 def test_sweep_inject_fault(capsys, monkeypatch):
-    real = cli.sweep
+    # Corrupt the first pair's report inside the sweep, so the sweep's own
+    # violation tally is what the exit code reads.
+    real = domlab.harness.check_pair
+    calls = []
 
     def first_corrupted(*a, **kw):
-        result = real(*a, **kw)
-        reports = (corrupt(result.reports[0]),) + result.reports[1:]
-        return replace(result, reports=reports)
+        calls.append(None)
+        report = real(*a, **kw)
+        return corrupt(report) if len(calls) == 1 else report
 
-    monkeypatch.setattr(cli, "sweep", first_corrupted)
+    monkeypatch.setattr(domlab.harness, "check_pair", first_corrupted)
     code, out, _ = run(
         capsys, "sweep", "--family", "paths:1..3", "--format", "csv"
     )

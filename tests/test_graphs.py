@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
+import domlab
 from domlab import (
     BadEdgeError,
     BadParameterError,
@@ -19,7 +21,6 @@ from domlab import (
     complete,
     cycle,
     grid,
-    is_connected,
     is_dominating,
     make_graph,
     path,
@@ -229,6 +230,25 @@ def test_complete_structure():
     assert all(g.degree(v) == 3 for v in range(4))
 
 
+def test_complete_matches_its_edge_list():
+    for n in range(1, 9):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert complete(n) == make_graph(n, edges)
+        assert complete(n).name == f"K{n}"
+
+
+def test_complete_builds_rows_without_an_edge_list():
+    # K600 has 179,700 edges: as edge tuples they peak near 16 MB, while its
+    # 600 rows of 600 bits take about 0.15 MB.
+    tracemalloc.start()
+    try:
+        complete(600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_star_center_is_vertex_zero():
     g = star(5)
     assert g.n == 5
@@ -266,8 +286,12 @@ def test_random_gnp_extremes():
         random_gnp(5, 1.5, seed=0)
 
 
-def test_is_connected_examples():
-    assert is_connected(path(6))
-    assert is_connected(complete(1))
-    assert not is_connected(make_graph(4, [(0, 1), (2, 3)]))
-    assert not is_connected(make_graph(2, []))
+# ---------------------------------------------------------------------------
+# Package exports
+# ---------------------------------------------------------------------------
+
+
+def test_all_exports_resolve():
+    assert len(set(domlab.__all__)) == len(domlab.__all__)
+    missing = [name for name in domlab.__all__ if not hasattr(domlab, name)]
+    assert missing == []

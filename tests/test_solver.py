@@ -295,10 +295,18 @@ def test_enumerate_cap_must_be_positive():
         enumerate_minimum_dominating_sets(path(4), cap=0)
 
 
-def test_enumerate_combination_budget():
-    # C(36, 10) ~ 2.5e8 subsets of size gamma = 10, above the default budget.
-    with pytest.raises(TooLargeError):
-        enumerate_minimum_dominating_sets(grid(6, 6), cap=10)
+def test_enumerate_is_bounded_by_the_node_budget():
+    # C(36, 10) ~ 2.5e8 subsets of size gamma = 10, but the search lists all
+    # 288 minimum sets in about 22,000 nodes.
+    g = grid(6, 6)
+    enum = enumerate_minimum_dominating_sets(g, cap=1000)
+    assert enum.gamma == 10
+    assert len(enum.sets) == 288
+    assert not enum.truncated
+    with pytest.raises(BudgetExhaustedError) as exc:
+        enumerate_minimum_dominating_sets(g, cap=1000, limits=SolverLimits(1000))
+    assert len(exc.value.witness) == 10
+    assert is_dominating(g, exc.value.witness)
 
 
 def test_enumerate_all_results_are_minimum_dominating():
@@ -336,18 +344,20 @@ def test_enumerate_matches_brute_force_order_and_truncation():
             assert enum.truncated == (len(expected) > cap)
 
 
-def test_enumerate_charges_the_budget_for_gamma_only():
-    # gamma alone takes 203 nodes here; the lexicographic witness pass that
-    # gamma_bb adds (345 nodes in all) is not run, and the enumeration
-    # itself is not charged.
+def test_enumerate_charges_gamma_and_listing_to_one_budget():
+    # gamma takes 203 nodes here and listing up to the second set (which
+    # sets the truncation flag) 400 more; the lexicographic witness pass
+    # that gamma_bb adds is not run.
     g = cartesian_product(cycle(6), path(5)).graph
-    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=203))
+    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=603))
     assert res.gamma == 8
     assert [tuple(s) for s in res.sets] == [(0, 1, 3, 4, 12, 15, 19, 22)]
+    assert res.truncated
     with pytest.raises(BudgetExhaustedError) as exc:
-        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=202))
+        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=602))
     assert isinstance(exc.value.witness, VertexSet)
     assert is_dominating(g, exc.value.witness)
+    assert len(exc.value.witness) == 8
 
 
 def test_enumerate_does_not_use_the_call_stack():
