@@ -375,7 +375,10 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise BadParameterError(f"random_gnp needs 0 <= p <= 1, got {p}")
     rng = random.Random(seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
-    ]
-    return make_graph(n, edges, name=f"gnp:{n}:{p}:{seed}")
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows, name=f"gnp:{n}:{p}:{seed}")

@@ -16,6 +16,13 @@ that covers what `covered` leaves, or reports that none exists.
   * children are eligible dominators, ordered by descending fresh coverage
     with index as the tie-break; an explored child leaves the eligible set
     of its later siblings (its own subtree covered every solution with it);
+  * a child whose fresh coverage is a subset of a kept earlier sibling's
+    is dominated and skipped (Fomin, Grandoni and Kratsch, J. ACM 2009;
+    van Rooij and Bodlaender, DAM 2011), and it too leaves the eligible
+    set of its later siblings: swapping it for the sibling turns any
+    solution that uses it into one the sibling's subtree covers.  The
+    ordering puts every dominating sibling first (equal sets: the earlier
+    one is kept);
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
@@ -23,7 +30,9 @@ gamma starts at a greedy maximum-coverage dominating set and falls while
 `complete` finds a set one smaller.  The witness is the lexicographically
 smallest minimum solution, so every caller sees one reproducible answer:
 vertices are fixed in ascending order, each kept when `complete` still
-finds the rest.
+finds the rest.  The pass starts from `minimize`'s minimum set and keeps
+one that agrees with the picks so far (after a successful `complete`, the
+picks plus its answer), so a vertex in that set is kept without a search.
 
 Minimum-set enumeration is a second explicit-stack search over the same
 `_scan`, run by the engine that found gamma and charged to the same node
@@ -158,15 +167,17 @@ class _BranchAndBound:
                 witness=VertexSet(self.n, self.best_mask),
             )
 
-    def _children(self, w: int, covered: int, allowed: int) -> list[int]:
+    def _children(self, w: int, covered: int, allowed: int) -> list[tuple[int, int]]:
+        """`(c, fresh)` for each eligible dominator c of w, where `fresh` is
+        what c would newly cover: most fresh coverage first, index on ties."""
         cands = []
         m = self.closed[w] & allowed
         while m:
             bit = m & -m
             c = bit.bit_length() - 1
             m ^= bit
-            cands.append(c)
-        cands.sort(key=lambda c: (-(self.closed[c] & ~covered).bit_count(), c))
+            cands.append((c, self.closed[c] & ~covered))
+        cands.sort(key=lambda cf: (-cf[1].bit_count(), cf[0]))
         return cands
 
     def minimize(self, allowed: int) -> int:
@@ -194,37 +205,47 @@ class _BranchAndBound:
             if scan is None:
                 continue
             children = []
-            for c in self._children(scan[0], covered, allowed):
+            kept = []
+            for c, fresh in self._children(scan[0], covered, allowed):
                 allowed &= ~(1 << c)
-                children.append(
-                    (covered | closed[c], allowed, slots - 1, picks | 1 << c)
-                )
+                for k in kept:
+                    if fresh & ~k == 0:
+                        break
+                else:
+                    kept.append(fresh)
+                    children.append(
+                        (covered | fresh, allowed, slots - 1, picks | 1 << c)
+                    )
             stack.extend(reversed(children))
         return None
 
-    def lexmin_witness(self, gamma: int, candidates: int) -> int:
-        """Lexicographically smallest dominating set of size `gamma`.
+    def lexmin_witness(self, candidates: int) -> int:
+        """Lexicographically smallest minimum dominating set from `candidates`.
 
-        Scans candidate vertices in ascending order; a vertex joins the
-        witness exactly when fixing it still leaves a completion among the
-        strictly larger candidates.
+        Call after `minimize`.  Scans candidate vertices in ascending order;
+        a vertex joins the witness exactly when fixing it still leaves a
+        completion among the strictly larger candidates.  `sol` is a minimum
+        set that agrees with the picks below the scan position, so a vertex
+        in it is taken without a search.
         """
+        sol = self.best_mask
         covered = 0
         remaining = candidates
         mask = 0
-        slots = gamma
+        slots = sol.bit_count()
         while slots:
-            # gamma is exact, so a completion always exists and the
-            # candidate pool cannot run dry before every slot is filled.
-            assert remaining, "no candidates left with slots unfilled"
+            # `sol` keeps `slots` members in `remaining`, so it is not empty.
             bit = remaining & -remaining
-            v = bit.bit_length() - 1
             remaining ^= bit
-            fixed = covered | self.closed[v]
-            if self.complete(fixed, remaining, slots - 1) is not None:
-                mask |= bit
-                covered = fixed
-                slots -= 1
+            fixed = covered | self.closed[bit.bit_length() - 1]
+            if not sol & bit:
+                found = self.complete(fixed, remaining, slots - 1)
+                if found is None:
+                    continue
+                sol = mask | bit | found
+            mask |= bit
+            covered = fixed
+            slots -= 1
         return mask
 
     def dominating_sets(self, size: int) -> Iterator[int]:
@@ -259,7 +280,7 @@ class _BranchAndBound:
 def _solve(g: Graph, candidates: int, node_budget: int) -> DominationResult:
     engine = _BranchAndBound(g, node_budget)
     gamma = engine.minimize(candidates)
-    witness = engine.lexmin_witness(gamma, candidates)
+    witness = engine.lexmin_witness(candidates)
     return DominationResult(gamma, VertexSet(g.n, witness))
 
 

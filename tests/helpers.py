@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable
 
 from domlab import (
     Graph,
@@ -71,11 +72,22 @@ def naive_is_dominating(g: Graph, members: set[int]) -> bool:
 
 def naive_gamma(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exhaustive domination number with the first witness in lex order."""
-    for k in range(g.n + 1):
-        for combo in itertools.combinations(range(g.n), k):
+    found = naive_gamma_restricted(g, range(g.n))
+    assert found is not None, "every graph is dominated by all of V"
+    return found
+
+
+def naive_gamma_restricted(
+    g: Graph, candidates: Iterable[int]
+) -> tuple[int, tuple[int, ...]] | None:
+    """Smallest dominating set drawn from `candidates`, first in lex order,
+    with its size; None when the candidates cannot dominate g."""
+    pool = sorted(candidates)
+    for k in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, k):
             if naive_is_dominating(g, set(combo)):
                 return k, combo
-    raise AssertionError("every graph is dominated by all of V")
+    return None
 
 
 def naive_minimum_dominating_sets(g: Graph) -> list[tuple[int, ...]]:

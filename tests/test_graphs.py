@@ -279,6 +279,31 @@ def test_random_gnp_is_seed_deterministic():
     assert a != c or sorted(a.edges()) == sorted(c.edges())
 
 
+def test_random_gnp_matches_its_edge_list():
+    # Each pair u < v draws once, in lexicographic order, so a seed names
+    # the same graph as the edge list drawn in that order.
+    for n, p, seed in [(1, 0.5, 0), (6, 0.5, 1), (12, 0.3, 7), (20, 0.8, 42)]:
+        rng = random.Random(seed)
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        ]
+        g = random_gnp(n, p, seed)
+        assert g == make_graph(n, edges)
+        assert g.name == f"gnp:{n}:{p}:{seed}"
+
+
+def test_random_gnp_builds_rows_without_an_edge_list():
+    # As in test_complete_builds_rows_without_an_edge_list: the 44,850 edge
+    # tuples of gnp:300:1.0 would peak near 3.3 MB, its rows take 0.05 MB.
+    tracemalloc.start()
+    try:
+        random_gnp(300, 1.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_random_gnp_extremes():
     assert random_gnp(6, 0.0, seed=1).m == 0
     assert random_gnp(6, 1.0, seed=1).m == 15

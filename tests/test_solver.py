@@ -34,6 +34,7 @@ from domlab import (
 )
 from helpers import (
     naive_gamma,
+    naive_gamma_restricted,
     naive_minimum_dominating_sets,
     random_dominating_set,
     random_graph,
@@ -181,9 +182,9 @@ def test_budget_exhaustion_carries_a_usable_bound():
 @pytest.mark.parametrize(
     "g, nodes",
     [
-        (grid(7, 7), 1_931),
-        (grid(8, 8), 10_190),
-        (cartesian_product(cycle(6), path(5)).graph, 345),
+        (grid(7, 7), 811),
+        (grid(8, 8), 4_513),
+        (cartesian_product(cycle(6), path(5)).graph, 248),
     ],
     ids=["grid7x7", "grid8x8", "C6xP5"],
 )
@@ -197,6 +198,23 @@ def test_node_counts_are_pinned(g, nodes):
     assert isinstance(witness, VertexSet)
     assert is_dominating(g, witness)
     assert len(witness) == exc.value.upper_bound == result.gamma
+
+
+def test_grid_10x10_is_changs_value():
+    # gamma(P10 x P10) = 24 (Chang's formula for grids); about 213,000
+    # nodes, minimize and witness pass together.
+    r = gamma_bb(grid(10, 10), SolverLimits(node_budget=250_000))
+    assert r.gamma == 24
+    assert is_dominating(grid(10, 10), r.witness)
+
+
+def test_long_path_witness_pass_starts_from_the_minimum_set():
+    # The vertices of minimize's set are taken without a search, so the
+    # witness pass only rules out the 799 other vertices it passes, one
+    # node each: 800 nodes with minimize's one.
+    r = gamma_bb(path(1200), SolverLimits(node_budget=1_000))
+    assert r.gamma == 400
+    assert r.witness.members == tuple(range(1, 1200, 3))
 
 
 def test_large_budget_is_never_hit_on_small_graphs():
@@ -225,6 +243,32 @@ def test_restricted_can_be_worse_than_global():
 def test_restricted_rejects_insufficient_candidates():
     with pytest.raises(NotDominatingError):
         gamma_restricted(path(4), VertexSet.from_members(4, [0, 1]))
+
+
+def test_restricted_agrees_with_brute_force_on_random_candidates():
+    # The search drops dominated children among the eligible candidates, so
+    # check it on candidate sets that cut the graph's vertices at random.
+    rng = random.Random(11)
+    graphs = [random_graph(rng, max_n=10) for _ in range(120)]
+    connected = [f for n in range(2, 5) for f in enumerate_connected_graphs(n)]
+    graphs += [
+        cartesian_product(rng.choice(connected), rng.choice(connected)).graph
+        for _ in range(40)
+    ]
+    refused = 0
+    for g in graphs:
+        density = rng.choice([0.5, 0.7, 0.9])
+        members = [v for v in range(g.n) if rng.random() < density]
+        candidates = VertexSet.from_members(g.n, members)
+        expected = naive_gamma_restricted(g, members)
+        if expected is None:
+            refused += 1
+            with pytest.raises(NotDominatingError):
+                gamma_restricted(g, candidates)
+            continue
+        r = gamma_restricted(g, candidates)
+        assert (r.gamma, r.witness.members) == expected
+    assert 0 < refused < len(graphs)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +389,16 @@ def test_enumerate_matches_brute_force_order_and_truncation():
 
 
 def test_enumerate_charges_gamma_and_listing_to_one_budget():
-    # gamma takes 203 nodes here and listing up to the second set (which
+    # gamma takes 168 nodes here and listing up to the second set (which
     # sets the truncation flag) 400 more; the lexicographic witness pass
     # that gamma_bb adds is not run.
     g = cartesian_product(cycle(6), path(5)).graph
-    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=603))
+    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=568))
     assert res.gamma == 8
     assert [tuple(s) for s in res.sets] == [(0, 1, 3, 4, 12, 15, 19, 22)]
     assert res.truncated
     with pytest.raises(BudgetExhaustedError) as exc:
-        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=602))
+        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=567))
     assert isinstance(exc.value.witness, VertexSet)
     assert is_dominating(g, exc.value.witness)
     assert len(exc.value.witness) == 8
