@@ -146,14 +146,8 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise BadEdgeError(f"expected {n} adjacency rows, got {len(adj)}")
-        for u, row in enumerate(adj):
-            if row < 0 or row >> n:
-                raise BadEdgeError(f"adjacency row {u} has bits outside 0..{n - 1}")
-            if (row >> u) & 1:
-                raise BadEdgeError(f"self-loop at vertex {u}")
-            for v in _iter_bits(row):
-                if not (adj[v] >> u) & 1:
-                    raise BadEdgeError(f"asymmetric edge ({u}, {v})")
+        if not _rows_symmetric(n, adj):
+            _raise_first_bad_row(n, adj)
         self.n = n
         self.adj = adj
         self.closed = tuple(row | (1 << v) for v, row in enumerate(adj))
@@ -192,6 +186,38 @@ class Graph:
     def __repr__(self) -> str:
         label = f", name={self.name!r}" if self.name else ""
         return f"Graph(n={self.n}, m={self.m}{label})"
+
+
+def _rows_symmetric(n: int, adj: tuple[int, ...]) -> bool:
+    """True when the rows are a valid simple graph: bits in range, no
+    self-loops, symmetric.  Each edge above the diagonal is checked against
+    its mirror below it; then a bit below the diagonal without a mirror
+    above shows as a surplus in the bit counts.  So every edge is walked
+    once."""
+    upper = 0
+    for u, row in enumerate(adj):
+        if row < 0 or row >> n or (row >> u) & 1:
+            return False
+        m = row >> (u + 1)
+        upper += m.bit_count()
+        while m:
+            bit = m & -m
+            m ^= bit
+            if not (adj[u + bit.bit_length()] >> u) & 1:
+                return False
+    return 2 * upper == sum(row.bit_count() for row in adj)
+
+
+def _raise_first_bad_row(n: int, adj: tuple[int, ...]) -> None:
+    """Raise BadEdgeError for the first fault in row order."""
+    for u, row in enumerate(adj):
+        if row < 0 or row >> n:
+            raise BadEdgeError(f"adjacency row {u} has bits outside 0..{n - 1}")
+        if (row >> u) & 1:
+            raise BadEdgeError(f"self-loop at vertex {u}")
+        for v in _iter_bits(row):
+            if not (adj[v] >> u) & 1:
+                raise BadEdgeError(f"asymmetric edge ({u}, {v})")
 
 
 class ProductGraph:

@@ -130,11 +130,16 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     """Solve one pair exactly and verify the counting argument on it.
 
     Both domination numbers and the product's are exact.  The trace is built
-    on the solver's minimum dominating set of the product, with the factors
-    oriented so the first has the larger domination number (the orientation
-    the final chain needs).  Reported bounds use max/min, so they do not
-    depend on the orientation, and gammaProduct is orientation-free because
-    the two orders give isomorphic products.
+    on the minimum dominating set the product's search found last, not the
+    lexicographically smallest one: the counting argument holds for every
+    dominating set D, and with |D| = gamma its chain bounds gammaProduct
+    itself, so any minimum set checks the theorem and the witness pass is
+    skipped.  Only set-dependent figures inside the trace's checks (|C| and
+    k) depend on which set it is.  The factors are oriented so the first
+    has the larger domination number (the orientation the final chain
+    needs).  Reported bounds use max/min, so they do not depend on the
+    orientation, and gammaProduct is orientation-free because the two
+    orders give isomorphic products.
     """
     limits = limits or SolverLimits()
     rg = gamma_bb(g, limits)
@@ -144,7 +149,7 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     else:
         a, b, ra, rb = h, g, rh, rg
     pg = cartesian_product(a, b)
-    rprod = gamma_bb(pg.graph, limits)
+    rprod = gamma_bb(pg.graph, limits, lexmin=False)
     tr = build_trace(
         a, b, rprod.witness, gamma_g=ra, gamma_h=rb, limits=limits, product=pg
     )

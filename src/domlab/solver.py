@@ -27,12 +27,15 @@ that covers what `covered` leaves, or reports that none exists.
     visits nodes in recursion order without using Python's call stack.
 
 gamma starts at a greedy maximum-coverage dominating set and falls while
-`complete` finds a set one smaller.  The witness is the lexicographically
-smallest minimum solution, so every caller sees one reproducible answer:
-vertices are fixed in ascending order, each kept when `complete` still
-finds the rest.  The pass starts from `minimize`'s minimum set and keeps
-one that agrees with the picks so far (after a successful `complete`, the
-picks plus its answer), so a vertex in that set is kept without a search.
+`complete` finds a set one smaller; the last set found is a minimum set.
+By default the witness is the lexicographically smallest minimum solution,
+so every caller sees one reproducible answer: vertices are fixed in
+ascending order, each kept when `complete` still finds the rest.  The pass
+starts from `minimize`'s minimum set and keeps one that agrees with the
+picks so far (after a successful `complete`, the picks plus its answer), so
+a vertex in that set is kept without a search.  A caller that needs only
+some minimum set (`gamma_bb(..., lexmin=False)`) gets `minimize`'s own set
+and skips the pass.
 
 Minimum-set enumeration is a second explicit-stack search over the same
 `_scan`, run by the engine that found gamma and charged to the same node
@@ -277,10 +280,12 @@ class _BranchAndBound:
             )
 
 
-def _solve(g: Graph, candidates: int, node_budget: int) -> DominationResult:
+def _solve(
+    g: Graph, candidates: int, node_budget: int, lexmin: bool = True
+) -> DominationResult:
     engine = _BranchAndBound(g, node_budget)
     gamma = engine.minimize(candidates)
-    witness = engine.lexmin_witness(candidates)
+    witness = engine.lexmin_witness(candidates) if lexmin else engine.best_mask
     return DominationResult(gamma, VertexSet(g.n, witness))
 
 
@@ -307,14 +312,21 @@ def gamma_oracle(g: Graph, guard: int = DEFAULT_ORACLE_GUARD) -> DominationResul
     raise AssertionError("unreachable: V(G) always dominates")
 
 
-def gamma_bb(g: Graph, limits: SolverLimits | None = None) -> DominationResult:
+def gamma_bb(
+    g: Graph, limits: SolverLimits | None = None, *, lexmin: bool = True
+) -> DominationResult:
     """Exact domination number via branch-and-bound.
 
-    Raises BudgetExhaustedError, carrying the best upper bound seen, if the
-    node budget runs out.  gamma_restricted solves over a subset of vertices.
+    With `lexmin` (the default) the witness is the lexicographically
+    smallest minimum dominating set, the same one `gamma_oracle` returns.
+    With `lexmin=False` it is the minimum set the search found last, which
+    depends on the search order but skips the witness pass; use it when any
+    minimum dominating set will do.  Raises BudgetExhaustedError, carrying
+    the best upper bound seen, if the node budget runs out.
+    gamma_restricted solves over a subset of vertices.
     """
     limits = limits or SolverLimits()
-    return _solve(g, g.full_mask, limits.node_budget)
+    return _solve(g, g.full_mask, limits.node_budget, lexmin)
 
 
 def gamma_restricted(

@@ -13,6 +13,7 @@ from domlab import (
     BadParameterError,
     BadVertexError,
     EmptyGraphError,
+    Graph,
     SizeOverflowError,
     VertexSet,
     cartesian_product,
@@ -119,6 +120,21 @@ def test_edge_out_of_range_rejected():
         make_graph(3, [(0, 3)])
     with pytest.raises(BadEdgeError):
         make_graph(3, [(-1, 0)])
+
+
+def test_asymmetric_edge_rejected():
+    rows = list(path(5).adj)
+    rows[0] &= ~(1 << 1)  # edge (1, 0) left only below the diagonal
+    with pytest.raises(BadEdgeError, match=r"asymmetric edge \(1, 0\)"):
+        Graph(5, rows)
+    rows = list(path(5).adj)
+    rows[3] |= 1  # a bit only below the diagonal
+    with pytest.raises(BadEdgeError, match=r"asymmetric edge \(3, 0\)"):
+        Graph(5, rows)
+    rows = list(path(5).adj)
+    rows[0] |= 1 << 3  # a bit only above the diagonal
+    with pytest.raises(BadEdgeError, match=r"asymmetric edge \(0, 3\)"):
+        Graph(5, rows)
 
 
 def test_graph_equality_ignores_name():

@@ -14,6 +14,7 @@ import domlab.harness
 from domlab import (
     CSV_COLUMNS,
     BadParameterError,
+    BudgetExhaustedError,
     SolverLimits,
     TooLargeError,
     all_pairs,
@@ -90,6 +91,26 @@ def test_check_pair_asymmetric_gammas():
     assert r.gammaProduct >= r.bound_new >= r.bound_ST_half >= r.bound_CS
     assert r.slack_new >= 0
     assert not r.violated
+
+
+def test_check_pair_skips_the_witness_pass_on_the_product():
+    # minimize takes 168 nodes on C6 x P5 and the lexicographic witness
+    # pass 80 more (248 in all, pinned in test_solver); the factors need
+    # fewer.  So check_pair fits in 168 only when it traces minimize's set.
+    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=168))
+    assert r.gammaProduct == 8
+    assert r.trace_ok
+    with pytest.raises(BudgetExhaustedError):
+        check_pair(cycle(6), path(5), SolverLimits(node_budget=167))
+
+
+def test_check_pair_traces_a_minimum_set(full_sweep):
+    # check_eq2 reads |C| <= |D|, so its rhs is the size of the traced set.
+    reports = full_sweep.result.reports
+    assert len(reports) == 496
+    for r in reports:
+        assert r.trace_ok
+        assert r.verdict.check_eq2.rhs == r.gammaProduct
 
 
 def test_bound_definitions():

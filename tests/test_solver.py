@@ -146,6 +146,25 @@ def test_solver_agrees_with_oracle_on_random_graphs():
         assert a.witness == b.witness
 
 
+def test_search_witness_agrees_with_oracle():
+    # lexmin=False returns minimize's own set: some minimum dominating set,
+    # not necessarily the oracle's.
+    rng = random.Random(11)
+    graphs = [random_graph(rng, max_n=12) for _ in range(60)]
+    connected = [f for n in range(2, 7) for f in enumerate_connected_graphs(n)]
+    graphs += [
+        cartesian_product(f, h).graph
+        for i, f in enumerate(connected)
+        for h in connected[i:]
+        if f.n * h.n <= 16
+    ]
+    for g in graphs:
+        r = gamma_bb(g, lexmin=False)
+        assert r.gamma == gamma_oracle(g).gamma
+        assert is_dominating(g, r.witness)
+        assert len(r.witness) == r.gamma
+
+
 def test_solver_agrees_with_naive_reference():
     rng = random.Random(8)
     for _ in range(40):
