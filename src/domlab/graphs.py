@@ -344,6 +344,202 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
 
 
 # ---------------------------------------------------------------------------
+# Vertex orbits
+# ---------------------------------------------------------------------------
+
+# Work allowed to one `vertex_orbits` call, in steps: a vertex or an edge end
+# visited by a refinement round or a breadth-first order, a pair of vertices
+# considered, a candidate image tried or a mapped neighbor it is checked
+# against, and a vertex of a found permutation checked.
+ORBIT_STEP_BUDGET = 100_000
+
+
+def vertex_orbits(g: Graph) -> tuple[VertexSet, ...]:
+    """The orbit of each vertex under the automorphisms of g, or a finer
+    partition when the search runs out of steps.
+
+    `orbits[v]` is the class of v.  Vertices are first coloured by degree and
+    the colours refined by neighbor colours (no automorphism changes a
+    colour).  Then each class representative x, lowest id first, is tried
+    against every vertex y of its colour: a backtracking search maps the
+    vertices in breadth-first order from x, and a vertex's candidate images
+    are the same-coloured neighbors of its parent's image that agree on
+    adjacency with everything mapped so far.  Classes merge only along a
+    permutation checked to be an automorphism; a search that fails proves
+    x and y lie in different orbits.  After ORBIT_STEP_BUDGET steps the
+    partition found so far is returned: its classes lie inside orbits, and
+    any such partition is safe to branch on.
+    """
+    n = g.n
+    adj = g.adj
+    full = g.full_mask
+    nbrs = [list(_iter_bits(row)) for row in adj]
+    ends = n + 2 * g.m
+    steps = 0
+    budget = ORBIT_STEP_BUDGET
+
+    colour = [row.bit_count() for row in adj]
+    count = len(set(colour))
+    # Refinement may spend half the budget; the search gets the rest.
+    while steps + ends <= budget // 2:
+        steps += ends
+        sig = [(colour[v], tuple(sorted(colour[w] for w in nbrs[v]))) for v in range(n)]
+        palette = {key: i for i, key in enumerate(sorted(set(sig)))}
+        if len(palette) == count:
+            break
+        colour = [palette[key] for key in sig]
+        count = len(palette)
+    cells: dict[int, int] = {}
+    for v in range(n):
+        cells[colour[v]] = cells.get(colour[v], 0) | 1 << v
+
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def classes() -> tuple[VertexSet, ...]:
+        masks = [0] * n
+        for v in range(n):
+            masks[find(v)] |= 1 << v
+        return tuple(VertexSet(n, masks[find(v)]) for v in range(n))
+
+    for x in range(n):
+        cell = cells[colour[x]]
+        # A smaller representative has closed its orbit; x either joined it
+        # or is alone in its colour.
+        if find(x) != x or cell == 1 << x:
+            continue
+        steps += ends
+        if steps > budget:
+            return classes()
+        order, parent = _bfs_order(nbrs, full, x)
+        failed: set[int] = set()
+        for y in _iter_bits(cell & ~((1 << (x + 1)) - 1)):
+            steps += 1
+            ry = find(y)
+            if ry <= x or ry in failed:
+                continue
+            image, steps = _map_from(adj, cells, colour, order, parent, y, steps, budget)
+            if image is None:
+                if steps > budget:
+                    return classes()
+                failed.add(ry)
+                continue
+            steps += ends
+            if not _is_automorphism(adj, image):
+                continue
+            for v in range(n):
+                a, b = find(v), find(image[v])
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+            failed = {find(f) for f in failed}
+    return classes()
+
+
+def _bfs_order(nbrs: list[list[int]], full: int, x: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of every vertex from x, each further component
+    from its lowest vertex, and each vertex's parent (-1 at a root)."""
+    order: list[int] = []
+    parent = [-1] * len(nbrs)
+    seen = 0
+    r = x
+    while True:
+        seen |= 1 << r
+        order.append(r)
+        i = len(order) - 1
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for w in nbrs[v]:
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    parent[w] = v
+                    order.append(w)
+        unseen = full & ~seen
+        if not unseen:
+            return order, parent
+        r = (unseen & -unseen).bit_length() - 1
+
+
+def _map_from(
+    adj: tuple[int, ...],
+    cells: dict[int, int],
+    colour: list[int],
+    order: list[int],
+    parent: list[int],
+    y: int,
+    steps: int,
+    budget: int,
+) -> tuple[list[int] | None, int]:
+    """A colour-preserving permutation that maps order[0] to y and keeps
+    adjacency, by backtracking over `order` on an explicit stack; None when
+    there is none or the steps pass `budget`.  Also the steps spent so far."""
+    n = len(order)
+    image = [-1] * n
+    used = 0  # images taken
+    done = 0  # vertices mapped
+    rest = [0] * n  # untried candidates of each position
+    rest[0] = 1 << y
+    t = 0
+    while t >= 0:
+        z = order[t]
+        if image[z] >= 0:
+            used ^= 1 << image[z]
+            done ^= 1 << z
+            image[z] = -1
+        mapped = adj[z] & done
+        need = mapped.bit_count()
+        c = rest[t]
+        while c:
+            bit = c & -c
+            c ^= bit
+            w = bit.bit_length() - 1
+            steps += 1 + need
+            if steps > budget:
+                return None, steps
+            row = adj[w]
+            if (row & used).bit_count() != need:
+                continue
+            m = mapped
+            while m:
+                b = m & -m
+                m ^= b
+                if not row >> image[b.bit_length() - 1] & 1:
+                    break
+            else:
+                break
+        else:
+            t -= 1
+            continue
+        rest[t] = c
+        image[z] = w
+        used |= bit
+        done |= 1 << z
+        t += 1
+        if t == n:
+            return image, steps
+        z = order[t]
+        p = parent[z]
+        base = adj[image[p]] if p >= 0 else -1
+        rest[t] = base & cells[colour[z]] & ~used
+    return None, steps
+
+
+def _is_automorphism(adj: tuple[int, ...], image: list[int]) -> bool:
+    for v, row in enumerate(adj):
+        mapped = 0
+        for w in _iter_bits(row):
+            mapped |= 1 << image[w]
+        if mapped != adj[image[v]]:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 

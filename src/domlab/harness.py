@@ -19,7 +19,7 @@ regenerated.  Ceilings are taken because domination numbers are integers.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .errors import BadParameterError, TooLargeError
 from .graph6 import encode_graph6
-from .graphs import Graph, VertexSet, cartesian_product, make_graph
+from .graphs import Graph, VertexSet, cartesian_product, make_graph, vertex_orbits
 from .solver import (
     SolverLimits,
     enumerate_minimum_dominating_sets,
@@ -135,11 +135,15 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     dominating set D, and with |D| = gamma its chain bounds gammaProduct
     itself, so any minimum set checks the theorem and the witness pass is
     skipped.  Only set-dependent figures inside the trace's checks (|C| and
-    k) depend on which set it is.  The factors are oriented so the first
-    has the larger domination number (the orientation the final chain
-    needs).  Reported bounds use max/min, so they do not depend on the
-    orientation, and gammaProduct is orientation-free because the two
-    orders give isomorphic products.
+    k) depend on which set it is.  The product's search also branches on
+    orbits at its root (see `solver`): each vertex (u, v) gets the class
+    O_G(u) x O_H(v) from the factors' `vertex_orbits`, joined with the
+    swapped class O_G(v) x O_H(u) when G and H are the same graph.  That
+    changes which minimum set is found, never gamma.  The factors are
+    oriented so the first has the larger domination number (the
+    orientation the final chain needs).  Reported bounds use max/min, so
+    they do not depend on the orientation, and gammaProduct is
+    orientation-free because the two orders give isomorphic products.
     """
     limits = limits or SolverLimits()
     rg = gamma_bb(g, limits)
@@ -149,7 +153,7 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     else:
         a, b, ra, rb = h, g, rh, rg
     pg = cartesian_product(a, b)
-    rprod = gamma_bb(pg.graph, limits, lexmin=False)
+    rprod = gamma_bb(pg.graph, limits, lexmin=False, orbits=_product_classes(a, b))
     tr = build_trace(
         a, b, rprod.witness, gamma_g=ra, gamma_h=rb, limits=limits, product=pg
     )
@@ -176,6 +180,40 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
         trace_ok=trace_ok,
         verdict=verdict,
     )
+
+
+def _product_classes(a: Graph, b: Graph) -> list[VertexSet]:
+    """Each vertex (u, v) of a x b in the class O_a(u) x O_b(v), joined with
+    the swapped class O_a(v) x O_b(u) when a and b are the same graph, whose
+    two coordinates may then trade places.  Each class lies inside one
+    orbit of Aut(a x b)."""
+    oa = _factor_orbits(a)
+    ob = _factor_orbits(b)
+    n_b = b.n
+    swap = a.adj == b.adj
+
+    def block(us: VertexSet, vs: VertexSet) -> int:
+        mask = 0
+        for u in us:
+            mask |= vs.mask << (u * n_b)
+        return mask
+
+    n = a.n * n_b
+    classes = []
+    for u in range(a.n):
+        for v in range(n_b):
+            mask = block(oa[u], ob[v])
+            if swap:
+                mask |= block(oa[v], ob[u])
+            classes.append(VertexSet(n, mask))
+    return classes
+
+
+@functools.lru_cache(maxsize=64)
+def _factor_orbits(g: Graph) -> tuple[VertexSet, ...]:
+    # Sweeps meet the same factors again and again, and the orbits of a
+    # 6-vertex factor take ~65 us, a few percent of checking a pair.
+    return vertex_orbits(g)
 
 
 def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
@@ -225,9 +263,11 @@ def sweep(
     if jobs <= 1:
         reports = [_checked_pair(w) for w in work]
     else:
-        # Resolved on use: concurrent.futures loads the process pool, and
-        # with it multiprocessing, on first access, so serial sweeps and the
-        # other commands never pay for that import.
+        # Imported on use, like the process pool and multiprocessing that it
+        # loads on first access: serial sweeps and the other commands need
+        # none of them (the import alone holds about 0.5 MB).
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_checked_pair, work))
     violations = tuple(i for i, r in enumerate(reports) if r.violated)

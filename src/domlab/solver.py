@@ -26,6 +26,31 @@ that covers what `covered` leaves, or reports that none exists.
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
+With `gamma_bb(..., orbits=...)` (which `check_pair` passes for the product)
+`complete` also branches on orbits at its root.  The orbits are a partition
+of the vertices whose every class lies inside one orbit of Aut(g).  At the
+root of a call over every vertex (nothing covered, every vertex allowed),
+once child c has been explored or skipped as dominated, c's whole class
+leaves the eligible set of the later siblings, and a sibling that has left
+this way is not pushed.  This is sound by induction over the root's
+children.  When c's turn ends without a solution, no solution of at most
+`slots` picks contains c: its subtree covered every solution with c that
+avoids the vertices removed before it, a skipped c swaps for its kept
+sibling, and no solution meets the removed vertices at all.  If a solution
+met class(c) in x, an automorphism taking x to c would map it to a solution
+of the same size that contains c.  So no solution meets class(c), and the
+later siblings lose nothing.  The argument needs only that each class lies
+in one orbit, so any finer partition of the orbits is safe too (Ostrowski,
+Linderoth, Rossi and Smriglio, "Orbital branching", Math. Programming 2011;
+Margot, "Symmetry in integer linear programming", 2010).  c's own subtree
+keeps c's class-mates, since a solution may hold c and a class-mate.  Below
+the root the picks break the symmetry, so the rule applies at the root
+only.  It also stays out of `lexmin_witness`, whose `complete` calls start from fixed
+picks and whose answer must be the canonical smallest set; out of
+`gamma_restricted`, whose candidate set need not be invariant under the
+group; and out of the enumerator, which must list every minimum set rather
+than one per orbit.
+
 gamma starts at a greedy maximum-coverage dominating set and falls while
 `complete` finds a set one smaller; the last set found is a minimum set.
 By default the witness is the lexicographically smallest minimum solution,
@@ -49,7 +74,7 @@ or leave too few vertices to fill the slots.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -151,15 +176,19 @@ def _scan(
 class _BranchAndBound:
     """One search context: shared node budget, best solution so far."""
 
-    __slots__ = ("n", "closed", "full", "budget", "nodes", "best_mask")
+    __slots__ = ("n", "closed", "full", "budget", "nodes", "best_mask", "classes")
 
-    def __init__(self, g: Graph, node_budget: int):
+    def __init__(
+        self, g: Graph, node_budget: int, classes: tuple[int, ...] | None = None
+    ):
         self.n = g.n
         self.closed = g.closed
         self.full = g.full_mask
         self.budget = node_budget
         self.nodes = 0
         self.best_mask = 0
+        # Each vertex's orbit class as a mask, or None: used at the root only.
+        self.classes = classes
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -198,6 +227,9 @@ class _BranchAndBound:
         of the graph beyond `covered`, or None if no such picks exist."""
         closed = self.closed
         full = self.full
+        # The orbit rule holds only where the graph's symmetry does: at the
+        # root of a call over every vertex.
+        classes = self.classes if covered == 0 and allowed == full else None
         stack = [(covered, allowed, slots, 0)]
         while stack:
             covered, allowed, slots, picks = stack.pop()
@@ -210,6 +242,8 @@ class _BranchAndBound:
             children = []
             kept = []
             for c, fresh in self._children(scan[0], covered, allowed):
+                if not allowed >> c & 1:
+                    continue  # left with an earlier class-mate
                 allowed &= ~(1 << c)
                 for k in kept:
                     if fresh & ~k == 0:
@@ -219,6 +253,9 @@ class _BranchAndBound:
                     children.append(
                         (covered | fresh, allowed, slots - 1, picks | 1 << c)
                     )
+                if classes:
+                    allowed &= ~classes[c]
+            classes = None
             stack.extend(reversed(children))
         return None
 
@@ -281,9 +318,13 @@ class _BranchAndBound:
 
 
 def _solve(
-    g: Graph, candidates: int, node_budget: int, lexmin: bool = True
+    g: Graph,
+    candidates: int,
+    node_budget: int,
+    lexmin: bool = True,
+    classes: tuple[int, ...] | None = None,
 ) -> DominationResult:
-    engine = _BranchAndBound(g, node_budget)
+    engine = _BranchAndBound(g, node_budget, classes)
     gamma = engine.minimize(candidates)
     witness = engine.lexmin_witness(candidates) if lexmin else engine.best_mask
     return DominationResult(gamma, VertexSet(g.n, witness))
@@ -312,8 +353,35 @@ def gamma_oracle(g: Graph, guard: int = DEFAULT_ORACLE_GUARD) -> DominationResul
     raise AssertionError("unreachable: V(G) always dominates")
 
 
+def _class_masks(g: Graph, orbits: Sequence[VertexSet]) -> tuple[int, ...]:
+    """The classes as masks, once they are checked to partition V(g) with
+    each vertex in its own class."""
+    if len(orbits) != g.n:
+        raise BadParameterError(
+            f"orbits must give one class per vertex: {len(orbits)} for {g.n}"
+        )
+    masks = []
+    for v, cls in enumerate(orbits):
+        if cls.universe != g.n:
+            raise BadParameterError(
+                f"the class of vertex {v} is over {cls.universe} vertices, not {g.n}"
+            )
+        if not cls.mask >> v & 1:
+            raise BadParameterError(f"the class of vertex {v} does not contain it")
+        masks.append(cls.mask)
+    # Every vertex lies in its own class, so the distinct classes cover V(g);
+    # their sizes add up to n exactly when no two overlap.
+    if sum(m.bit_count() for m in set(masks)) != g.n:
+        raise BadParameterError("orbit classes overlap")
+    return tuple(masks)
+
+
 def gamma_bb(
-    g: Graph, limits: SolverLimits | None = None, *, lexmin: bool = True
+    g: Graph,
+    limits: SolverLimits | None = None,
+    *,
+    lexmin: bool = True,
+    orbits: Sequence[VertexSet] | None = None,
 ) -> DominationResult:
     """Exact domination number via branch-and-bound.
 
@@ -321,12 +389,18 @@ def gamma_bb(
     smallest minimum dominating set, the same one `gamma_oracle` returns.
     With `lexmin=False` it is the minimum set the search found last, which
     depends on the search order but skips the witness pass; use it when any
-    minimum dominating set will do.  Raises BudgetExhaustedError, carrying
-    the best upper bound seen, if the node budget runs out.
-    gamma_restricted solves over a subset of vertices.
+    minimum dominating set will do.  `orbits[v]`, when given, is the class
+    of v in a partition of V(g) whose classes each lie inside one orbit of
+    Aut(g) (see `graphs.vertex_orbits`); the search then skips a whole class
+    at its root once one member has been branched on (module docstring).
+    It changes the search, never gamma; BadParameterError when it is not
+    such a partition.  Raises BudgetExhaustedError, carrying the best upper
+    bound seen, if the node budget runs out.  gamma_restricted solves over
+    a subset of vertices.
     """
     limits = limits or SolverLimits()
-    return _solve(g, g.full_mask, limits.node_budget, lexmin)
+    classes = None if orbits is None else _class_masks(g, orbits)
+    return _solve(g, g.full_mask, limits.node_budget, lexmin, classes)
 
 
 def gamma_restricted(

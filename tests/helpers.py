@@ -90,6 +90,33 @@ def naive_gamma_restricted(
     return None
 
 
+def milp_gamma(g: Graph) -> tuple[int, ...]:
+    """A minimum dominating set of g from scipy's MILP solver (HiGHS), an
+    answer independent of the package's searches that also reaches past
+    gamma_oracle's 16 vertices: minimize the picks subject to every closed
+    neighborhood holding one.  The float answer is never taken alone: it is
+    rounded, the set checked to dominate and its size to equal the
+    objective, so comparing the size with gamma_bb's gamma checks both."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    closed = naive_closed_neighborhoods(g)
+    a = np.zeros((g.n, g.n))
+    for v, ball in closed.items():
+        a[v, sorted(ball)] = 1
+    res = milp(
+        np.ones(g.n),
+        constraints=LinearConstraint(a, lb=1),
+        integrality=np.ones(g.n),
+        bounds=Bounds(0, 1),
+    )
+    assert res.success, res.message
+    members = tuple(v for v in range(g.n) if round(res.x[v]) == 1)
+    assert naive_is_dominating(g, set(members))
+    assert len(members) == round(res.fun)
+    return members
+
+
 def naive_minimum_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
     """Every minimum dominating set, in `itertools.combinations` order."""
     gamma = naive_gamma(g)[0]

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
+import time
 import tracemalloc
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 import domlab
+import domlab.graphs as graphs_module
+from domlab import harness
 from domlab import (
     BadEdgeError,
     BadParameterError,
@@ -21,12 +26,14 @@ from domlab import (
     closed_neighborhood_set,
     complete,
     cycle,
+    encode_graph6,
     grid,
     is_dominating,
     make_graph,
     path,
     random_gnp,
     star,
+    vertex_orbits,
 )
 from helpers import naive_closed_neighborhoods, naive_product_edges, random_graph
 
@@ -325,6 +332,138 @@ def test_random_gnp_extremes():
     assert random_gnp(6, 1.0, seed=1).m == 15
     with pytest.raises(BadParameterError):
         random_gnp(5, 1.5, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Vertex orbits
+# ---------------------------------------------------------------------------
+
+
+def to_networkx(g):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def orbit_partition(g):
+    return {frozenset(c) for c in vertex_orbits(g)}
+
+
+def networkx_maps(big, x, y):
+    """True when networkx finds an automorphism of `big` taking x to y."""
+    def marked(v):
+        out = big.copy()
+        nx.set_node_attributes(out, {w: w == v for w in out}, "mark")
+        return out
+
+    matcher = GraphMatcher(
+        marked(x), marked(y), node_match=lambda a, b: a["mark"] == b["mark"]
+    )
+    return next(matcher.isomorphisms_iter(), None) is not None
+
+
+def networkx_orbits(g):
+    """Orbits of Aut(g) from networkx: one GraphMatcher search per pair of
+    equal-degree vertices, since listing every automorphism is out of reach
+    on stars."""
+    big = to_networkx(g)
+    orbit_of = {}
+    for x in range(g.n):
+        if x in orbit_of:
+            continue
+        orbit = {x} | {
+            y
+            for y in range(x + 1, g.n)
+            if y not in orbit_of
+            and big.degree[y] == big.degree[x]
+            and networkx_maps(big, x, y)
+        }
+        for v in orbit:
+            orbit_of[v] = frozenset(orbit)
+    return set(orbit_of.values())
+
+
+def assert_partition(g, orbits):
+    """`orbits` gives each vertex a class holding it, and no two classes
+    overlap."""
+    assert len(orbits) == g.n
+    assert all(v in cls for v, cls in enumerate(orbits))
+    assert sum(len(cls) for cls in set(orbits)) == g.n
+
+
+def assert_sound(g, orbits):
+    """`orbits` is a partition whose every class lies inside one orbit:
+    networkx maps the least member to each other member."""
+    assert_partition(g, orbits)
+    big = to_networkx(g)
+    for v, cls in enumerate(orbits):
+        first = min(cls)
+        if v != first:
+            assert networkx_maps(big, first, v)
+
+
+def test_vertex_orbits_match_networkx_on_small_connected_graphs():
+    graphs = [g for n in range(1, 7) for g in harness.enumerate_connected_graphs(n)]
+    assert len(graphs) == 143
+    for g in graphs:
+        assert orbit_partition(g) == networkx_orbits(g), encode_graph6(g)
+
+
+SIZES = [*range(1, 13), 16, 20, 25, 30]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path(n) for n in SIZES]
+    + [cycle(n) for n in SIZES if n >= 3]
+    + [star(n) for n in SIZES]
+    + [grid(m, n) for m in range(2, 6) for n in range(m, 16) if m * n <= 30],
+    ids=lambda g: g.name,
+)
+def test_vertex_orbits_match_networkx_on_families(g):
+    assert orbit_partition(g) == networkx_orbits(g)
+
+
+def test_vertex_orbits_are_sound_and_exact_on_random_graphs():
+    # Sparse seeded graphs, often disconnected, with isolated vertices and
+    # pendant twins that automorphisms swap.
+    for seed in range(40):
+        n = 6 + seed % 9
+        g = random_gnp(n, 0.15 + 0.05 * (seed % 4), seed)
+        orbits = vertex_orbits(g)
+        assert_sound(g, orbits)
+        assert orbit_partition(g) == networkx_orbits(g)
+
+
+def test_vertex_orbits_stay_in_budget_on_large_graphs():
+    # Colour refinement would take 1,000 rounds on path:2000, and complete:64
+    # needs a search and a permutation check per vertex; the step budget
+    # cuts both short, and what comes back is still sound.  Cycles and
+    # complete graphs are vertex-transitive, so any partition is sound on
+    # them; a path's orbits are its mirror pairs.
+    start = time.monotonic()
+    for g in (path(2000), cycle(4096), complete(64)):
+        orbits = vertex_orbits(g)
+        assert_partition(g, orbits)
+        if g.name == "P2000":
+            assert all(set(cls) <= {v, 1999 - v} for v, cls in enumerate(orbits))
+    g = random_gnp(300, 0.05, 1)
+    assert_sound(g, vertex_orbits(g))
+    assert time.monotonic() - start < 20
+
+
+def test_vertex_orbits_budget_gives_a_finer_partition(monkeypatch):
+    # With too few steps to map one vertex every class is a singleton; with
+    # a few hundred, grid:4x5 gets some of its 6 orbits, and split ones.
+    assert len(orbit_partition(cycle(12))) == 1
+    assert len(orbit_partition(grid(4, 5))) == 6
+    monkeypatch.setattr(graphs_module, "ORBIT_STEP_BUDGET", 30)
+    assert orbit_partition(cycle(12)) == {frozenset([v]) for v in range(12)}
+    monkeypatch.setattr(graphs_module, "ORBIT_STEP_BUDGET", 300)
+    orbits = vertex_orbits(grid(4, 5))
+    assert_sound(grid(4, 5), orbits)
+    assert 6 < len(set(orbits)) < 20
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import itertools
 import os
+import random
 from dataclasses import replace
 
 import networkx as nx
@@ -18,12 +19,14 @@ from domlab import (
     SolverLimits,
     TooLargeError,
     all_pairs,
+    cartesian_product,
     check_pair,
     complete,
     cycle,
     encode_graph6,
     enumerate_connected_graphs,
     gamma_bb,
+    gamma_oracle,
     pair_report_dict,
     pair_report_row,
     path,
@@ -32,6 +35,7 @@ from domlab import (
     sweep,
     zip_pairs,
 )
+from helpers import milp_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +98,51 @@ def test_check_pair_asymmetric_gammas():
 
 
 def test_check_pair_skips_the_witness_pass_on_the_product():
-    # minimize takes 168 nodes on C6 x P5 and the lexicographic witness
-    # pass 80 more (248 in all, pinned in test_solver); the factors need
-    # fewer.  So check_pair fits in 168 only when it traces minimize's set.
-    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=168))
+    # With the factors' orbit classes, minimize takes 53 nodes on C6 x P5
+    # (168 without them) and a lexicographic witness pass would take 80
+    # more; the factors need fewer.  So check_pair fits in 53 only when it
+    # traces minimize's set and branches on orbits at the root.
+    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=53))
     assert r.gammaProduct == 8
     assert r.trace_ok
     with pytest.raises(BudgetExhaustedError):
-        check_pair(cycle(6), path(5), SolverLimits(node_budget=167))
+        check_pair(cycle(6), path(5), SolverLimits(node_budget=52))
+
+
+def test_check_pair_classes_lie_in_orbits_of_the_product():
+    # O_G(u) x O_H(v), and on a diagonal pair its swap joined in: P3 x P3
+    # has the corner, edge-middle and centre orbits of the 3 x 3 grid.
+    classes = domlab.harness._product_classes(path(3), path(3))
+    assert {tuple(c) for c in classes} == {(0, 2, 6, 8), (1, 3, 5, 7), (4,)}
+    classes = domlab.harness._product_classes(path(3), path(2))
+    assert {tuple(c) for c in classes} == {(0, 1, 4, 5), (2, 3)}
+
+
+def test_check_pair_matches_the_oracle_on_small_products():
+    # Every ordered pair of connected graphs with a product on <= 12
+    # vertices, diagonal pairs (where the swap joins classes) included.
+    connected = [f for n in range(1, 7) for f in enumerate_connected_graphs(n)]
+    pairs = [(g, h) for g in connected for h in connected if g.n * h.n <= 12]
+    assert len(pairs) == 596
+    for g, h in pairs:
+        r = check_pair(g, h)
+        assert r.gammaProduct == gamma_oracle(cartesian_product(g, h).graph).gamma
+        assert r.trace_ok
+
+
+def test_check_pair_matches_milp_on_36_vertex_products():
+    # gamma_oracle stops at 16 vertices; the MILP answer is independent of
+    # the search.  One pair in ten is diagonal, where the swap joins classes.
+    six = enumerate_connected_graphs(6)
+    rng = random.Random(3636)
+    pairs = [
+        (g, g) if i % 10 == 0 else (g, rng.choice(six))
+        for i, g in enumerate(rng.choice(six) for _ in range(200))
+    ]
+    for g, h in pairs:
+        r = check_pair(g, h)
+        assert len(milp_gamma(cartesian_product(g, h).graph)) == r.gammaProduct
+        assert r.trace_ok
 
 
 def test_check_pair_traces_a_minimum_set(full_sweep):

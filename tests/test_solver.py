@@ -31,8 +31,10 @@ from domlab import (
     random_gnp,
     shrink_to_minimal,
     star,
+    vertex_orbits,
 )
 from helpers import (
+    milp_gamma,
     naive_gamma,
     naive_gamma_restricted,
     naive_minimum_dominating_sets,
@@ -188,6 +190,45 @@ def test_bad_node_budget_rejected():
         SolverLimits(node_budget=0)
 
 
+def test_orbits_of_the_wrong_length_rejected():
+    with pytest.raises(BadParameterError, match="one class per vertex"):
+        gamma_bb(path(3), orbits=[VertexSet.full(3)] * 2)
+
+
+def test_orbit_class_missing_its_own_vertex_rejected():
+    ends = VertexSet.from_members(3, [0, 2])
+    with pytest.raises(BadParameterError, match="vertex 1 does not contain it"):
+        gamma_bb(path(3), orbits=[ends] * 3)
+
+
+def test_overlapping_orbit_classes_rejected():
+    first, second = VertexSet.from_members(3, [0, 1]), VertexSet.from_members(3, [1, 2])
+    with pytest.raises(BadParameterError, match="overlap"):
+        gamma_bb(path(3), orbits=[first, second, second])
+
+
+def test_orbit_classes_over_another_universe_rejected():
+    with pytest.raises(BadParameterError, match="over 4 vertices"):
+        gamma_bb(path(3), orbits=[VertexSet.full(4)] * 3)
+
+
+def test_orbits_keep_gamma_and_cut_nodes():
+    # The root orbit rule on Aut(g)'s own orbits: the same gamma as the
+    # oracle on random graphs, and on C6 x P5 a minimize of 53 nodes, not
+    # 168 (test_enumerate_charges_gamma_and_listing_to_one_budget).
+    rng = random.Random(21)
+    for g in [random_graph(rng, max_n=11) for _ in range(80)]:
+        r = gamma_bb(g, lexmin=False, orbits=vertex_orbits(g))
+        assert r.gamma == gamma_oracle(g).gamma
+        assert is_dominating(g, r.witness) and len(r.witness) == r.gamma
+        assert gamma_bb(g, orbits=vertex_orbits(g)) == gamma_oracle(g)
+    g = cartesian_product(cycle(6), path(5)).graph
+    limits = SolverLimits(node_budget=53)
+    assert gamma_bb(g, limits, lexmin=False, orbits=vertex_orbits(g)).gamma == 8
+    with pytest.raises(BudgetExhaustedError):
+        gamma_bb(g, SolverLimits(52), lexmin=False, orbits=vertex_orbits(g))
+
+
 def test_budget_exhaustion_carries_a_usable_bound():
     g = random_gnp(40, 0.08, seed=12)
     with pytest.raises(BudgetExhaustedError) as exc:
@@ -225,6 +266,7 @@ def test_grid_10x10_is_changs_value():
     r = gamma_bb(grid(10, 10), SolverLimits(node_budget=250_000))
     assert r.gamma == 24
     assert is_dominating(grid(10, 10), r.witness)
+    assert len(milp_gamma(grid(10, 10))) == 24
 
 
 def test_long_path_witness_pass_starts_from_the_minimum_set():
