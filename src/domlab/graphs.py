@@ -150,7 +150,11 @@ class Graph:
             _raise_first_bad_row(n, adj)
         self.n = n
         self.adj = adj
-        self.closed = tuple(row | (1 << v) for v, row in enumerate(adj))
+        # From a list, not a generator.  A tuple built from a generator is
+        # resized to fit, and when it dies it joins CPython's free list for
+        # its length (up to 2,000 dead short tuples each), from which tuples
+        # built this way never draw: one per graph fills the lists.
+        self.closed = tuple([row | (1 << v) for v, row in enumerate(adj)])
         self.full_mask = (1 << n) - 1
         self.m = sum(row.bit_count() for row in adj) // 2
         self.name = name

@@ -256,7 +256,10 @@ def sweep(
     """Run check_pair over many pairs, recording per-pair errors.
 
     Output order always matches input order; `jobs` is capped at the CPU count.
+    BadParameterError when `jobs` is less than 1.
     """
+    if jobs < 1:
+        raise BadParameterError(f"jobs must be at least 1, got {jobs}")
     limits = limits or SolverLimits()
     jobs = min(jobs, os.cpu_count() or 1)
     work = [(g, h, limits) for g, h in pairs]

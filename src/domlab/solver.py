@@ -13,6 +13,19 @@ that covers what `covered` leaves, or reports that none exists.
     with pairwise disjoint eligible dominator sets (each forces its own
     pick) passes `slots`; else it branches on the vertex with the fewest
     eligible dominators;
+  * a counting bound (the classic gamma >= n / (Delta + 1); Haynes,
+    Hedetniemi and Slater, "Fundamentals of Domination in Graphs", 1998):
+    s picks cover at most `reach[s]`, the sum of the s largest closed
+    neighbourhood sizes.  A child is pushed only while its fresh coverage
+    leaves at most `reach[slots - 1]` vertices for the other picks;
+    children come by descending fresh coverage, so the first that fails
+    ends the loop.  Every pushed child meets the bound, so the node test
+    (more than `reach[slots]` uncovered: dead before the walk) fires only
+    on the first node of a call, where it saves the walk.  Both cuts drop
+    only subtrees that hold no solution, so the search finds the same first
+    set.  `reach` reads only the graph's degrees, never a factor's gamma or
+    a bound under test, so a search that checks such a bound does not
+    assume it;
   * children are eligible dominators, ordered by descending fresh coverage
     with index as the tie-break; an explored child leaves the eligible set
     of its later siblings (its own subtree covered every solution with it);
@@ -76,7 +89,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     BadParameterError,
@@ -176,7 +189,9 @@ def _scan(
 class _BranchAndBound:
     """One search context: shared node budget, best solution so far."""
 
-    __slots__ = ("n", "closed", "full", "budget", "nodes", "best_mask", "classes")
+    __slots__ = (
+        "n", "closed", "full", "reach", "budget", "nodes", "best_mask", "classes"
+    )
 
     def __init__(
         self, g: Graph, node_budget: int, classes: tuple[int, ...] | None = None
@@ -184,6 +199,10 @@ class _BranchAndBound:
         self.n = g.n
         self.closed = g.closed
         self.full = g.full_mask
+        # reach[s]: the most vertices any s picks can cover (module docstring).
+        # A list, for the reason `Graph.closed` is built from one.
+        sizes = sorted((c.bit_count() for c in g.closed), reverse=True)
+        self.reach = list(accumulate(sizes, initial=0))
         self.budget = node_budget
         self.nodes = 0
         self.best_mask = 0
@@ -199,17 +218,22 @@ class _BranchAndBound:
                 witness=VertexSet(self.n, self.best_mask),
             )
 
-    def _children(self, w: int, covered: int, allowed: int) -> list[tuple[int, int]]:
-        """`(c, fresh)` for each eligible dominator c of w, where `fresh` is
-        what c would newly cover: most fresh coverage first, index on ties."""
+    def _children(
+        self, w: int, covered: int, allowed: int
+    ) -> list[tuple[int, int, int]]:
+        """`(-k, c, fresh)` for each eligible dominator c of w, where `fresh`
+        is what c would newly cover and k its size: most fresh coverage
+        first, index on ties."""
+        closed = self.closed
         cands = []
-        m = self.closed[w] & allowed
+        m = closed[w] & allowed
         while m:
             bit = m & -m
             c = bit.bit_length() - 1
             m ^= bit
-            cands.append((c, self.closed[c] & ~covered))
-        cands.sort(key=lambda cf: (-cf[1].bit_count(), cf[0]))
+            fresh = closed[c] & ~covered
+            cands.append((-fresh.bit_count(), c, fresh))
+        cands.sort()
         return cands
 
     def minimize(self, allowed: int) -> int:
@@ -227,6 +251,7 @@ class _BranchAndBound:
         of the graph beyond `covered`, or None if no such picks exist."""
         closed = self.closed
         full = self.full
+        reach = self.reach
         # The orbit rule holds only where the graph's symmetry does: at the
         # root of a call over every vertex.
         classes = self.classes if covered == 0 and allowed == full else None
@@ -236,12 +261,19 @@ class _BranchAndBound:
             self._tick()
             if covered == full:
                 return picks
+            uncovered = (full & ~covered).bit_count()
+            if uncovered > reach[slots]:
+                continue
             scan = _scan(closed, full, covered, allowed, slots)
             if scan is None:
                 continue
+            # -k <= spare means k >= uncovered - reach[slots - 1].
+            spare = reach[slots - 1] - uncovered
             children = []
             kept = []
-            for c, fresh in self._children(scan[0], covered, allowed):
+            for neg_k, c, fresh in self._children(scan[0], covered, allowed):
+                if neg_k > spare:
+                    break  # this child and every later one cannot finish
                 if not allowed >> c & 1:
                     continue  # left with an earlier class-mate
                 allowed &= ~(1 << c)

@@ -90,6 +90,20 @@ def naive_gamma_restricted(
     return None
 
 
+def naive_cover_size(
+    g: Graph, targets: set[int], candidates: Iterable[int]
+) -> int | None:
+    """Fewest candidates whose closed neighborhoods hold every target, or
+    None when all of them together do not."""
+    closed = naive_closed_neighborhoods(g)
+    pool = sorted(candidates)
+    for k in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, k):
+            if targets <= set().union(*(closed[v] for v in combo)):
+                return k
+    return None
+
+
 def milp_gamma(g: Graph) -> tuple[int, ...]:
     """A minimum dominating set of g from scipy's MILP solver (HiGHS), an
     answer independent of the package's searches that also reaches past

@@ -314,6 +314,14 @@ def test_sweep_parallel_output_identical(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "sweep", "--family", "paths:1..3", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err == f"domlab: jobs must be at least 1, got {jobs}\n"
+
+
 def test_sweep_graph6_file_zip_pairs(capsys, tmp_path):
     p = tmp_path / "corpus.g6"
     p.write_text("A_\nBg\n")

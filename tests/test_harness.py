@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import itertools
 import os
 import random
@@ -12,6 +13,7 @@ import networkx as nx
 import pytest
 
 import domlab.harness
+import domlab.solver
 from domlab import (
     CSV_COLUMNS,
     BadParameterError,
@@ -98,15 +100,15 @@ def test_check_pair_asymmetric_gammas():
 
 
 def test_check_pair_skips_the_witness_pass_on_the_product():
-    # With the factors' orbit classes, minimize takes 53 nodes on C6 x P5
-    # (168 without them) and a lexicographic witness pass would take 80
-    # more; the factors need fewer.  So check_pair fits in 53 only when it
+    # With the factors' orbit classes, minimize takes 47 nodes on C6 x P5
+    # (131 without them) and a lexicographic witness pass would take 66
+    # more; the factors need fewer.  So check_pair fits in 47 only when it
     # traces minimize's set and branches on orbits at the root.
-    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=53))
+    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=47))
     assert r.gammaProduct == 8
     assert r.trace_ok
     with pytest.raises(BudgetExhaustedError):
-        check_pair(cycle(6), path(5), SolverLimits(node_budget=52))
+        check_pair(cycle(6), path(5), SolverLimits(node_budget=46))
 
 
 def test_check_pair_classes_lie_in_orbits_of_the_product():
@@ -152,6 +154,42 @@ def test_check_pair_traces_a_minimum_set(full_sweep):
     for r in reports:
         assert r.trace_ok
         assert r.verdict.check_eq2.rhs == r.gammaProduct
+
+
+def test_product_search_finds_the_same_sets(small_connected_corpus):
+    # The minimum set that check_pair traces on each product of the <= 5
+    # sweep, pinned by digest: a cut that drops only subtrees without a
+    # solution leaves the depth-first search's first set where it was.
+    digest = hashlib.sha256()
+    for g, h in all_pairs(small_connected_corpus):
+        a, b = (g, h) if gamma_bb(g).gamma >= gamma_bb(h).gamma else (h, g)
+        r = gamma_bb(
+            cartesian_product(a, b).graph,
+            lexmin=False,
+            orbits=domlab.harness._product_classes(a, b),
+        )
+        digest.update(f"{r.gamma} {list(r.witness.members)}\n".encode())
+    assert digest.hexdigest() == (
+        "d392c1b32dfbfc73ecf9df4c9de7c4853ee2643bf225b4aaad680576b340c763"
+    )
+
+
+def test_check_pair_node_total_is_pinned(small_connected_corpus, monkeypatch):
+    # Every search node check_pair visits over the 496 pairs of the <= 5
+    # sweep (factors, product and the trace's solves).  A change that
+    # weakens pruning moves it on any machine, however fast.
+    nodes = 0
+    tick = domlab.solver._BranchAndBound._tick
+
+    def counted(engine):
+        nonlocal nodes
+        nodes += 1
+        tick(engine)
+
+    monkeypatch.setattr(domlab.solver._BranchAndBound, "_tick", counted)
+    for g, h in all_pairs(small_connected_corpus):
+        check_pair(g, h)
+    assert nodes == 7_809
 
 
 def test_bound_definitions():

@@ -33,8 +33,11 @@ from domlab import (
     star,
     vertex_orbits,
 )
+from domlab.solver import _BranchAndBound
 from helpers import (
     milp_gamma,
+    naive_closed_neighborhoods,
+    naive_cover_size,
     naive_gamma,
     naive_gamma_restricted,
     naive_minimum_dominating_sets,
@@ -174,6 +177,34 @@ def test_solver_agrees_with_naive_reference():
         assert gamma_bb(g).gamma == naive_gamma(g)[0]
 
 
+def test_complete_agrees_with_brute_force_below_the_root():
+    # `complete(covered, allowed, slots)` from arbitrary covered and allowed
+    # masks, as the witness pass and gamma_restricted call it below the
+    # root: one slot short of the brute-force minimum finds nothing and the
+    # minimum finds a cover, so the counting bound cuts no node or child
+    # whose subtree holds a solution.
+    rng = random.Random(1010)
+    for _ in range(300):
+        g = random_graph(rng, max_n=9)
+        closed = naive_closed_neighborhoods(g)
+        covered = [v for v in range(g.n) if rng.random() < 0.3]
+        allowed = [v for v in range(g.n) if rng.random() < 0.7]
+        targets = set(range(g.n)) - set(covered)
+        best = naive_cover_size(g, targets, allowed)
+        top = g.n if best is None else best
+        engine = _BranchAndBound(g, 10**6)
+        covered_mask = VertexSet.from_members(g.n, covered).mask
+        allowed_mask = VertexSet.from_members(g.n, allowed).mask
+        for slots in sorted({0, max(top - 1, 0), top, rng.randint(0, g.n)}):
+            found = engine.complete(covered_mask, allowed_mask, slots)
+            if best is None or slots < best:
+                assert found is None
+                continue
+            picks = VertexSet(g.n, found).members
+            assert set(picks) <= set(allowed) and len(picks) <= slots
+            assert targets <= set().union(*(closed[v] for v in picks))
+
+
 def test_oracle_guard():
     with pytest.raises(TooLargeError):
         gamma_oracle(random_gnp(17, 0.2, seed=1))
@@ -214,8 +245,8 @@ def test_orbit_classes_over_another_universe_rejected():
 
 def test_orbits_keep_gamma_and_cut_nodes():
     # The root orbit rule on Aut(g)'s own orbits: the same gamma as the
-    # oracle on random graphs, and on C6 x P5 a minimize of 53 nodes, not
-    # 168 (test_enumerate_charges_gamma_and_listing_to_one_budget).
+    # oracle on random graphs, and on C6 x P5 a minimize of 47 nodes, not
+    # 131 (test_enumerate_charges_gamma_and_listing_to_one_budget).
     rng = random.Random(21)
     for g in [random_graph(rng, max_n=11) for _ in range(80)]:
         r = gamma_bb(g, lexmin=False, orbits=vertex_orbits(g))
@@ -223,10 +254,10 @@ def test_orbits_keep_gamma_and_cut_nodes():
         assert is_dominating(g, r.witness) and len(r.witness) == r.gamma
         assert gamma_bb(g, orbits=vertex_orbits(g)) == gamma_oracle(g)
     g = cartesian_product(cycle(6), path(5)).graph
-    limits = SolverLimits(node_budget=53)
+    limits = SolverLimits(node_budget=47)
     assert gamma_bb(g, limits, lexmin=False, orbits=vertex_orbits(g)).gamma == 8
     with pytest.raises(BudgetExhaustedError):
-        gamma_bb(g, SolverLimits(52), lexmin=False, orbits=vertex_orbits(g))
+        gamma_bb(g, SolverLimits(46), lexmin=False, orbits=vertex_orbits(g))
 
 
 def test_budget_exhaustion_carries_a_usable_bound():
@@ -242,9 +273,9 @@ def test_budget_exhaustion_carries_a_usable_bound():
 @pytest.mark.parametrize(
     "g, nodes",
     [
-        (grid(7, 7), 811),
-        (grid(8, 8), 4_513),
-        (cartesian_product(cycle(6), path(5)).graph, 248),
+        (grid(7, 7), 684),
+        (grid(8, 8), 4_010),
+        (cartesian_product(cycle(6), path(5)).graph, 197),
     ],
     ids=["grid7x7", "grid8x8", "C6xP5"],
 )
@@ -261,7 +292,7 @@ def test_node_counts_are_pinned(g, nodes):
 
 
 def test_grid_10x10_is_changs_value():
-    # gamma(P10 x P10) = 24 (Chang's formula for grids); about 213,000
+    # gamma(P10 x P10) = 24 (Chang's formula for grids); about 186,000
     # nodes, minimize and witness pass together.
     r = gamma_bb(grid(10, 10), SolverLimits(node_budget=250_000))
     assert r.gamma == 24
@@ -450,16 +481,16 @@ def test_enumerate_matches_brute_force_order_and_truncation():
 
 
 def test_enumerate_charges_gamma_and_listing_to_one_budget():
-    # gamma takes 168 nodes here and listing up to the second set (which
+    # gamma takes 131 nodes here and listing up to the second set (which
     # sets the truncation flag) 400 more; the lexicographic witness pass
     # that gamma_bb adds is not run.
     g = cartesian_product(cycle(6), path(5)).graph
-    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=568))
+    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=531))
     assert res.gamma == 8
     assert [tuple(s) for s in res.sets] == [(0, 1, 3, 4, 12, 15, 19, 22)]
     assert res.truncated
     with pytest.raises(BudgetExhaustedError) as exc:
-        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=567))
+        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=530))
     assert isinstance(exc.value.witness, VertexSet)
     assert is_dominating(g, exc.value.witness)
     assert len(exc.value.witness) == 8
