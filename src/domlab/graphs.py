@@ -358,19 +358,22 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
 ORBIT_STEP_BUDGET = 100_000
 
 
-def vertex_orbits(g: Graph) -> tuple[VertexSet, ...]:
-    """The orbit of each vertex under the automorphisms of g, or a finer
-    partition when the search runs out of steps.
+def vertex_orbits(g: Graph, fixed: VertexSet | None = None) -> tuple[VertexSet, ...]:
+    """The orbit of each vertex under the automorphisms of g that fix every
+    vertex of `fixed` (all of Aut(g) by default), or a finer partition when
+    the search runs out of steps.
 
-    `orbits[v]` is the class of v.  Vertices are first coloured by degree and
-    the colours refined by neighbor colours (no automorphism changes a
-    colour).  Then each class representative x, lowest id first, is tried
-    against every vertex y of its colour: a backtracking search maps the
-    vertices in breadth-first order from x, and a vertex's candidate images
-    are the same-coloured neighbors of its parent's image that agree on
-    adjacency with everything mapped so far.  Classes merge only along a
-    permutation checked to be an automorphism; a search that fails proves
-    x and y lie in different orbits.  After ORBIT_STEP_BUDGET steps the
+    `orbits[v]` is the class of v.  Vertices are first coloured by degree,
+    each fixed vertex in a colour of its own, and the colours refined by
+    neighbor colours (no automorphism in the group changes a colour).  Then
+    each class representative x, lowest id first, is tried against every
+    vertex y of its colour: a backtracking search maps the vertices in
+    breadth-first order from x, and a vertex's candidate images are the
+    same-coloured neighbors of its parent's image that agree on adjacency
+    with everything mapped so far.  Classes merge only along a
+    colour-preserving permutation checked to be an automorphism, which
+    therefore fixes every fixed vertex; a search that fails proves x and y
+    lie in different orbits.  After ORBIT_STEP_BUDGET steps the
     partition found so far is returned: its classes lie inside orbits, and
     any such partition is safe to branch on.
     """
@@ -383,6 +386,10 @@ def vertex_orbits(g: Graph) -> tuple[VertexSet, ...]:
     budget = ORBIT_STEP_BUDGET
 
     colour = [row.bit_count() for row in adj]
+    if fixed is not None:
+        _check_universe(g, fixed)
+        for v in fixed:
+            colour[v] = n + v  # degrees are below n
     count = len(set(colour))
     # Refinement may spend half the budget; the search gets the rest.
     while steps + ends <= budget // 2:

@@ -39,30 +39,47 @@ that covers what `covered` leaves, or reports that none exists.
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
-With `gamma_bb(..., orbits=...)` (which `check_pair` passes for the product)
-`complete` also branches on orbits at its root.  The orbits are a partition
-of the vertices whose every class lies inside one orbit of Aut(g).  At the
-root of a call over every vertex (nothing covered, every vertex allowed),
-once child c has been explored or skipped as dominated, c's whole class
-leaves the eligible set of the later siblings, and a sibling that has left
-this way is not pushed.  This is sound by induction over the root's
-children.  When c's turn ends without a solution, no solution of at most
-`slots` picks contains c: its subtree covered every solution with c that
-avoids the vertices removed before it, a skipped c swaps for its kept
-sibling, and no solution meets the removed vertices at all.  If a solution
-met class(c) in x, an automorphism taking x to c would map it to a solution
-of the same size that contains c.  So no solution meets class(c), and the
-later siblings lose nothing.  The argument needs only that each class lies
-in one orbit, so any finer partition of the orbits is safe too (Ostrowski,
-Linderoth, Rossi and Smriglio, "Orbital branching", Math. Programming 2011;
-Margot, "Symmetry in integer linear programming", 2010).  c's own subtree
-keeps c's class-mates, since a solution may hold c and a class-mate.  Below
-the root the picks break the symmetry, so the rule applies at the root
-only.  It also stays out of `lexmin_witness`, whose `complete` calls start from fixed
-picks and whose answer must be the canonical smallest set; out of
-`gamma_restricted`, whose candidate set need not be invariant under the
-group; and out of the enumerator, which must list every minimum set rather
-than one per orbit.
+With `gamma_bb(..., orbits=...)` `complete` also branches on orbits.  The
+symmetry input maps the picks of a node to classes: each class lies in one
+orbit of a group of automorphisms that fixes every pick, and the group of a
+child's picks is a subgroup of its parent's.  A plain partition of the
+orbits of Aut(g) gives classes at the root only, where there are no picks;
+`check_pair` gives the product's classes at every depth, from stabilizers
+in its factors.  The rule runs only in a call over every vertex (nothing
+covered, every vertex allowed): at each node that expands, once child c
+has been explored or skipped as dominated, c's whole class leaves the
+eligible set of the later siblings, and a sibling that has left this way
+is not pushed.  c's own subtree keeps c's class-mates, since a solution may
+hold c and a class-mate.  Call a solution of a node a set of at most
+`slots` further picks that covers what the picks leave, and let the node's
+group be the one its classes come from.  The rule is sound by induction
+down the tree, on two facts about every node: the node's group maps each
+solution inside `allowed` to a solution inside `allowed`, and when the
+node's search fails, no solution lies inside `allowed`.
+  * The group maps solutions to solutions because it fixes the picks, and
+    so `covered`.  At the root `allowed` is every vertex.
+  * Over a node's children, in order: when c's turn ends without a
+    solution, no solution inside the current `allowed` contains c.  For an
+    explored c that is the second fact at c's node; a skipped c swaps for
+    its kept sibling.  If such a solution met class(c) in x, an element of
+    the group taking x to c would map it to a solution that contains c.
+    By the first fact that image lies inside the node's `allowed`, and each
+    earlier sibling removed only vertices that no solution there uses, so
+    it lies inside the current `allowed` too.  So no solution meets class(c), and the
+    later siblings lose nothing.
+  * A child c inherits the first fact: a solution of c's node, with c
+    added, is a solution of the parent.  The parent's group maps it inside
+    the parent's `allowed`, so by the step above inside the current one,
+    and c's group fixes c.  So the image, without c, lies inside c's
+    `allowed`.
+The argument needs only that each class lies in one orbit of the node's
+group, so any finer partition is safe too (Ostrowski, Linderoth, Rossi and
+Smriglio, "Orbital branching", Math. Programming 2011; Margot, "Symmetry
+in integer linear programming", 2010).  The rule stays out of
+`lexmin_witness`, whose `complete` calls start from fixed picks and whose
+answer must be the canonical smallest set; out of `gamma_restricted`,
+whose candidate set need not be invariant under the group; and out of the
+enumerator, which must list every minimum set rather than one per orbit.
 
 gamma starts at a greedy maximum-coverage dominating set and falls while
 `complete` finds a set one smaller; the last set found is a minimum set.
@@ -87,7 +104,7 @@ or leave too few vertices to fill the slots.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -101,6 +118,12 @@ from .graphs import Graph, VertexSet, _check_universe, is_dominating
 
 DEFAULT_NODE_BUDGET = 5_000_000
 DEFAULT_ORACLE_GUARD = 16
+
+# The symmetry input of a search (module docstring): `symmetry(picks)` gives,
+# for a node with the pick mask `picks`, a map from each vertex to the mask
+# of its class, or None when every class is one vertex (the search then
+# asks no node below it).
+Symmetry = Callable[[int], Callable[[int], int] | None]
 
 
 @dataclass(frozen=True)
@@ -128,25 +151,20 @@ class SolverLimits:
 
 
 def _greedy_cover(closed: tuple[int, ...], full: int, allowed: int) -> int | None:
-    """Max-coverage greedy dominating set from `allowed`, or None if impossible."""
+    """Max-coverage greedy dominating set from `allowed`, or None if impossible.
+    Ties go to the lowest id."""
+    cands = [v for v in range(len(closed)) if allowed >> v & 1]
+    rows = [closed[v] for v in cands]
     covered = 0
     chosen = 0
     while covered != full:
-        best_v = -1
-        best_gain = 0
-        m = allowed
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            m ^= bit
-            gain = (closed[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        if best_gain == 0:
+        gains = [(row & ~covered).bit_count() for row in rows]
+        best = max(gains, default=0)
+        if best == 0:
             return None
-        chosen |= 1 << best_v
-        covered |= closed[best_v]
+        v = cands[gains.index(best)]
+        chosen |= 1 << v
+        covered |= closed[v]
     return chosen
 
 
@@ -190,12 +208,10 @@ class _BranchAndBound:
     """One search context: shared node budget, best solution so far."""
 
     __slots__ = (
-        "n", "closed", "full", "reach", "budget", "nodes", "best_mask", "classes"
+        "n", "closed", "full", "reach", "budget", "nodes", "best_mask", "symmetry"
     )
 
-    def __init__(
-        self, g: Graph, node_budget: int, classes: tuple[int, ...] | None = None
-    ):
+    def __init__(self, g: Graph, node_budget: int, symmetry: Symmetry | None = None):
         self.n = g.n
         self.closed = g.closed
         self.full = g.full_mask
@@ -206,8 +222,7 @@ class _BranchAndBound:
         self.budget = node_budget
         self.nodes = 0
         self.best_mask = 0
-        # Each vertex's orbit class as a mask, or None: used at the root only.
-        self.classes = classes
+        self.symmetry = symmetry
 
     def _tick(self) -> None:
         self.nodes += 1
@@ -252,12 +267,13 @@ class _BranchAndBound:
         closed = self.closed
         full = self.full
         reach = self.reach
-        # The orbit rule holds only where the graph's symmetry does: at the
-        # root of a call over every vertex.
-        classes = self.classes if covered == 0 and allowed == full else None
-        stack = [(covered, allowed, slots, 0)]
+        # The orbit rule holds only where the graph's symmetry does: in a
+        # call over every vertex.  Below a node without classes, nodes ask
+        # for none, since their groups are smaller still.
+        symmetry = self.symmetry if covered == 0 and allowed == full else None
+        stack = [(covered, allowed, slots, 0, symmetry)]
         while stack:
-            covered, allowed, slots, picks = stack.pop()
+            covered, allowed, slots, picks, symmetry = stack.pop()
             self._tick()
             if covered == full:
                 return picks
@@ -269,6 +285,9 @@ class _BranchAndBound:
                 continue
             # -k <= spare means k >= uncovered - reach[slots - 1].
             spare = reach[slots - 1] - uncovered
+            classes = symmetry(picks) if symmetry else None
+            if classes is None:
+                symmetry = None
             children = []
             kept = []
             for neg_k, c, fresh in self._children(scan[0], covered, allowed):
@@ -283,11 +302,10 @@ class _BranchAndBound:
                 else:
                     kept.append(fresh)
                     children.append(
-                        (covered | fresh, allowed, slots - 1, picks | 1 << c)
+                        (covered | fresh, allowed, slots - 1, picks | 1 << c, symmetry)
                     )
                 if classes:
-                    allowed &= ~classes[c]
-            classes = None
+                    allowed &= ~classes(c)
             stack.extend(reversed(children))
         return None
 
@@ -354,9 +372,9 @@ def _solve(
     candidates: int,
     node_budget: int,
     lexmin: bool = True,
-    classes: tuple[int, ...] | None = None,
+    symmetry: Symmetry | None = None,
 ) -> DominationResult:
-    engine = _BranchAndBound(g, node_budget, classes)
+    engine = _BranchAndBound(g, node_budget, symmetry)
     gamma = engine.minimize(candidates)
     witness = engine.lexmin_witness(candidates) if lexmin else engine.best_mask
     return DominationResult(gamma, VertexSet(g.n, witness))
@@ -413,7 +431,7 @@ def gamma_bb(
     limits: SolverLimits | None = None,
     *,
     lexmin: bool = True,
-    orbits: Sequence[VertexSet] | None = None,
+    orbits: Sequence[VertexSet] | Symmetry | None = None,
 ) -> DominationResult:
     """Exact domination number via branch-and-bound.
 
@@ -421,18 +439,31 @@ def gamma_bb(
     smallest minimum dominating set, the same one `gamma_oracle` returns.
     With `lexmin=False` it is the minimum set the search found last, which
     depends on the search order but skips the witness pass; use it when any
-    minimum dominating set will do.  `orbits[v]`, when given, is the class
-    of v in a partition of V(g) whose classes each lie inside one orbit of
-    Aut(g) (see `graphs.vertex_orbits`); the search then skips a whole class
-    at its root once one member has been branched on (module docstring).
-    It changes the search, never gamma; BadParameterError when it is not
-    such a partition.  Raises BudgetExhaustedError, carrying the best upper
-    bound seen, if the node budget runs out.  gamma_restricted solves over
-    a subset of vertices.
+    minimum dominating set will do.
+
+    `orbits` turns on orbital branching (module docstring).  As a sequence,
+    `orbits[v]` is the class of v in a partition of V(g) whose classes each
+    lie inside one orbit of Aut(g) (see `graphs.vertex_orbits`), and the
+    search skips a whole class at its root once one member has been
+    branched on; BadParameterError when it is not such a partition.  As a
+    `Symmetry` it maps each node's picks to classes, each inside one orbit
+    of a group that fixes those picks and lies inside the parent node's
+    group; `harness.check_pair` passes one for the product.  It changes the
+    search, never gamma.  Raises BudgetExhaustedError, carrying
+    the best upper bound seen, if the node budget runs out.
+    gamma_restricted solves over a subset of vertices.
     """
     limits = limits or SolverLimits()
-    classes = None if orbits is None else _class_masks(g, orbits)
-    return _solve(g, g.full_mask, limits.node_budget, lexmin, classes)
+    if orbits is None or callable(orbits):
+        symmetry = orbits
+    else:
+        root = _class_masks(g, orbits).__getitem__
+
+        def symmetry(picks: int) -> Callable[[int], int] | None:
+            # Aut(g) fixes the root's empty picks; below, no group is known.
+            return None if picks else root
+
+    return _solve(g, g.full_mask, limits.node_budget, lexmin, symmetry)
 
 
 def gamma_restricted(

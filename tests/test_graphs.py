@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import tracemalloc
@@ -408,6 +409,42 @@ def test_vertex_orbits_match_networkx_on_small_connected_graphs():
     assert len(graphs) == 143
     for g in graphs:
         assert orbit_partition(g) == networkx_orbits(g), encode_graph6(g)
+
+
+def brute_force_automorphisms(g):
+    """Every automorphism of g, as a tuple of images, by trying all n!
+    permutations."""
+    edges = list(g.edges())
+    return [
+        p
+        for p in itertools.permutations(range(g.n))
+        if all(g.adj[p[u]] >> p[v] & 1 for u, v in edges)
+    ]
+
+
+def test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers():
+    # The orbits of the automorphisms that fix each vertex of a set, for
+    # every set of vertices of every connected graph on <= 6 vertices.
+    graphs = [g for n in range(1, 7) for g in harness.enumerate_connected_graphs(n)]
+    checked = 0
+    for g in graphs:
+        autos = [
+            (sum(1 << v for v in range(g.n) if p[v] == v), p)
+            for p in brute_force_automorphisms(g)
+        ]
+        for fixed in range(1 << g.n):
+            want = [0] * g.n
+            for still, p in autos:
+                if fixed & ~still == 0:
+                    for v in range(g.n):
+                        want[v] |= 1 << p[v]
+            got = vertex_orbits(g, VertexSet(g.n, fixed))
+            assert [cls.mask for cls in got] == want, (encode_graph6(g), fixed)
+            checked += 1
+    assert checked == 7_958
+    assert vertex_orbits(path(5), VertexSet.empty(5)) == vertex_orbits(path(5))
+    with pytest.raises(BadVertexError):
+        vertex_orbits(path(5), VertexSet.full(4))
 
 
 SIZES = [*range(1, 13), 16, 20, 25, 30]

@@ -20,6 +20,7 @@ from domlab import (
     BudgetExhaustedError,
     SolverLimits,
     TooLargeError,
+    VertexSet,
     all_pairs,
     cartesian_product,
     check_pair,
@@ -29,6 +30,8 @@ from domlab import (
     enumerate_connected_graphs,
     gamma_bb,
     gamma_oracle,
+    grid,
+    is_dominating,
     pair_report_dict,
     pair_report_row,
     path,
@@ -100,24 +103,61 @@ def test_check_pair_asymmetric_gammas():
 
 
 def test_check_pair_skips_the_witness_pass_on_the_product():
-    # With the factors' orbit classes, minimize takes 47 nodes on C6 x P5
-    # (131 without them) and a lexicographic witness pass would take 66
-    # more; the factors need fewer.  So check_pair fits in 47 only when it
-    # traces minimize's set and branches on orbits at the root.
-    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=47))
+    # With the factors' stabilizer orbits at every depth, minimize takes 41
+    # nodes on C6 x P5 (47 with orbits at the root only, 131 without them)
+    # and a lexicographic witness pass would take 66 more; the factors need
+    # fewer.  So check_pair fits in 41 only when it traces minimize's set and
+    # branches on orbits below the root.
+    r = check_pair(cycle(6), path(5), SolverLimits(node_budget=41))
     assert r.gammaProduct == 8
     assert r.trace_ok
     with pytest.raises(BudgetExhaustedError):
-        check_pair(cycle(6), path(5), SolverLimits(node_budget=46))
+        check_pair(cycle(6), path(5), SolverLimits(node_budget=40))
+
+
+def product_partition(a, b, picks=()):
+    """The classes the product search branches on at a node with `picks`
+    (None: every class is one vertex)."""
+    cls = domlab.harness._product_classes(a, b)(sum(1 << p for p in picks))
+    if cls is None:
+        return None
+    n = a.n * b.n
+    return {tuple(VertexSet(n, cls(v))) for v in range(n)}
 
 
 def test_check_pair_classes_lie_in_orbits_of_the_product():
     # O_G(u) x O_H(v), and on a diagonal pair its swap joined in: P3 x P3
     # has the corner, edge-middle and centre orbits of the 3 x 3 grid.
-    classes = domlab.harness._product_classes(path(3), path(3))
-    assert {tuple(c) for c in classes} == {(0, 2, 6, 8), (1, 3, 5, 7), (4,)}
-    classes = domlab.harness._product_classes(path(3), path(2))
-    assert {tuple(c) for c in classes} == {(0, 1, 4, 5), (2, 3)}
+    assert product_partition(path(3), path(3)) == {(0, 2, 6, 8), (1, 3, 5, 7), (4,)}
+    assert product_partition(path(3), path(2)) == {(0, 1, 4, 5), (2, 3)}
+
+
+def test_check_pair_classes_below_the_root_come_from_stabilizers():
+    # With the centre (1, 1) of P3 x P3 picked, each coordinate keeps P3's
+    # flip but the swap is gone; a corner pick fixes everything.  On P3 x P2
+    # the pick (1, 0) leaves P3's flip and fixes P2.
+    assert product_partition(path(3), path(3), [4]) == {
+        (0, 2, 6, 8), (1, 7), (3, 5), (4,)
+    }
+    assert product_partition(path(3), path(3), [0]) is None
+    assert product_partition(path(3), path(2), [2]) == {(0, 4), (1, 5), (2,), (3,)}
+
+
+def test_orbits_below_the_root_keep_the_product_gamma(small_connected_corpus):
+    # The product search with stabilizer orbits at every depth against the
+    # same search with no symmetry: every pair of the <= 5 sweep, and larger
+    # products with deeper searches, a diagonal one among them.
+    pairs = all_pairs(small_connected_corpus) + [
+        (cycle(8), path(5)),
+        (path(5), cycle(8)),
+        (grid(2, 3), cycle(7)),
+        (cycle(7), cycle(7)),
+    ]
+    for a, b in pairs:
+        g = cartesian_product(a, b).graph
+        r = gamma_bb(g, lexmin=False, orbits=domlab.harness._product_classes(a, b))
+        assert r.gamma == gamma_bb(g, lexmin=False).gamma
+        assert len(r.witness) == r.gamma and is_dominating(g, r.witness)
 
 
 def test_check_pair_matches_the_oracle_on_small_products():
@@ -189,7 +229,7 @@ def test_check_pair_node_total_is_pinned(small_connected_corpus, monkeypatch):
     monkeypatch.setattr(domlab.solver._BranchAndBound, "_tick", counted)
     for g, h in all_pairs(small_connected_corpus):
         check_pair(g, h)
-    assert nodes == 7_809
+    assert nodes == 6_271
 
 
 def test_bound_definitions():
@@ -258,7 +298,7 @@ def test_sweep_caps_jobs_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
