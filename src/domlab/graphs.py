@@ -328,14 +328,8 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
             f" {MAX_PRODUCT_VERTICES}"
         )
     n_h = h.n
-    # For a fixed u, the G-direction edges of (u, v) land at (w * n_h + v) for
-    # each neighbor w of u; precompute the w * n_h bit spread once per u.
-    spread_g = []
-    for u in range(g.n):
-        s = 0
-        for w in _iter_bits(g.adj[u]):
-            s |= 1 << (w * n_h)
-        spread_g.append(s)
+    # The G-direction neighbours of (u, v) are (w, v) for each neighbour w of u.
+    spread_g = [_spread(row, n_h) for row in g.adj]
     rows = [0] * n
     for u in range(g.n):
         base = u * n_h
@@ -345,6 +339,33 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
     if g.name and h.name:
         name = f"{g.name} x {h.name}"
     return ProductGraph(Graph(n, rows, name), g.n, n_h)
+
+
+def _spread(mask: int, width: int) -> int:
+    """Bit x of `mask` moved to bit x * width: with `width` = n_H, the
+    G-vertices of `mask` paired with H-vertex 0.  Times an H-mask m the
+    shifted copies of m do not overlap, so the product is `mask` x m."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= 1 << ((bit.bit_length() - 1) * width)
+        mask ^= bit
+    return out
+
+
+def _project(mask: int, width: int) -> tuple[int, int]:
+    """The G- and H-coordinates of a product mask's members, as two masks,
+    with `width` = n_H."""
+    row = (1 << width) - 1
+    us = vs = 0
+    bit = 1
+    while mask:
+        if mask & row:
+            us |= bit
+            vs |= mask & row
+        mask >>= width
+        bit <<= 1
+    return us, vs
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,15 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BadParameterError, TooLargeError
 from .graph6 import encode_graph6
-from .graphs import Graph, VertexSet, cartesian_product, make_graph, vertex_orbits
+from .graphs import (
+    Graph,
+    VertexSet,
+    _project,
+    _spread,
+    cartesian_product,
+    make_graph,
+    vertex_orbits,
+)
 from .solver import (
     SolverLimits,
     Symmetry,
@@ -142,11 +150,11 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     O_U(x) x O_V(y), from the factors' `vertex_orbits` with U and V fixed.
     At the root the class is joined with the swapped O_G(y) x O_H(x) when G
     and H are the same graph.  That changes which minimum set is found,
-    never gamma.  The factors are
-    oriented so the first has the larger domination number (the
-    orientation the final chain needs).  Reported bounds use max/min, so
-    they do not depend on the orientation, and gammaProduct is
-    orientation-free because the two orders give isomorphic products.
+    never gamma.  The factors are oriented so the first has the larger
+    domination number (the orientation the final chain needs).  Reported
+    bounds use max/min, so they do not depend on the orientation, and
+    gammaProduct is orientation-free because the two orders give isomorphic
+    products.  A factor past graph6's 62 vertices is named `<n=N>`.
     """
     limits = limits or SolverLimits()
     rg = gamma_bb(g, limits)
@@ -156,7 +164,7 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     else:
         a, b, ra, rb = h, g, rh, rg
     pg = cartesian_product(a, b)
-    rprod = gamma_bb(pg.graph, limits, lexmin=False, orbits=_product_classes(a, b))
+    rprod = gamma_bb(pg.graph, limits, lexmin=False, symmetry=_product_classes(a, b))
     tr = build_trace(
         a, b, rprod.witness, gamma_g=ra, gamma_h=rb, limits=limits, product=pg
     )
@@ -169,8 +177,8 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     hi, lo = max(gg, gh), min(gg, gh)
     bound_new = _ceil_half(prod_term + hi)
     return PairReport(
-        g6_G=encode_graph6(g),
-        g6_H=encode_graph6(h),
+        g6_G=_graph_name(g),
+        g6_H=_graph_name(h),
         gammaG=gg,
         gammaH=gh,
         gammaProduct=rprod.gamma,
@@ -193,7 +201,6 @@ def _product_classes(a: Graph, b: Graph) -> Symmetry:
     same graph, the coordinates may also trade places, and the class is
     joined with the swapped O(y) x O(x)."""
     n_b = b.n
-    row = (1 << n_b) - 1
     table_a = _orbit_table(a)
     table_b = _orbit_table(b)
     swap = a.adj == b.adj
@@ -201,14 +208,7 @@ def _product_classes(a: Graph, b: Graph) -> Symmetry:
     points_b = tuple([1 << y for y in range(n_b)])
 
     def classes(picks: int) -> Callable[[int], int] | None:
-        us = vs = 0
-        bit = 1  # the a-coordinate of the row at the bottom of picks
-        while picks:
-            if picks & row:
-                us |= bit
-                vs |= picks & row
-            picks >>= n_b
-            bit <<= 1
+        us, vs = _project(picks, n_b)
         oa = _stabilizer_orbits(a, table_a, us)
         ob = _stabilizer_orbits(b, table_b, vs)
         root_swap = swap and not us
@@ -227,13 +227,6 @@ def _product_classes(a: Graph, b: Graph) -> Symmetry:
         return cls
 
     return classes
-
-
-@functools.lru_cache(maxsize=4096)
-def _spread(xs: int, width: int) -> int:
-    # One bit per member x of xs, at x * width.  Times a mask below
-    # 2**width, the copies do not overlap, so the product ORs them.
-    return sum(1 << (x * width) for x in range(xs.bit_length()) if xs >> x & 1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -269,6 +262,12 @@ def _stabilizer_orbits(
     return orbits
 
 
+def _graph_name(g: Graph) -> str:
+    """A factor's name in a report: its graph6 string, or `<n=N>` past the
+    62 vertices that short-form graph6 can encode."""
+    return encode_graph6(g) if g.n <= 62 else f"<n={g.n}>"
+
+
 def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
     g, h, limits = args
     try:
@@ -277,8 +276,8 @@ def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
         # One failed pair, even RecursionError or MemoryError, becomes an
         # error row; the rest of the sweep goes on.
         return PairReport(
-            g6_G=encode_graph6(g) if g.n <= 62 else f"<n={g.n}>",
-            g6_H=encode_graph6(h) if h.n <= 62 else f"<n={h.n}>",
+            g6_G=_graph_name(g),
+            g6_H=_graph_name(h),
             error=f"{type(exc).__name__}: {exc}",
         )
 

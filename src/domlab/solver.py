@@ -39,23 +39,22 @@ that covers what `covered` leaves, or reports that none exists.
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
-With `gamma_bb(..., orbits=...)` `complete` also branches on orbits.  The
+With `gamma_bb(..., symmetry=...)` `complete` also branches on orbits.  The
 symmetry input maps the picks of a node to classes: each class lies in one
 orbit of a group of automorphisms that fixes every pick, and the group of a
-child's picks is a subgroup of its parent's.  A plain partition of the
-orbits of Aut(g) gives classes at the root only, where there are no picks;
-`check_pair` gives the product's classes at every depth, from stabilizers
-in its factors.  The rule runs only in a call over every vertex (nothing
-covered, every vertex allowed): at each node that expands, once child c
-has been explored or skipped as dominated, c's whole class leaves the
-eligible set of the later siblings, and a sibling that has left this way
-is not pushed.  c's own subtree keeps c's class-mates, since a solution may
-hold c and a class-mate.  Call a solution of a node a set of at most
-`slots` further picks that covers what the picks leave, and let the node's
-group be the one its classes come from.  The rule is sound by induction
-down the tree, on two facts about every node: the node's group maps each
-solution inside `allowed` to a solution inside `allowed`, and when the
-node's search fails, no solution lies inside `allowed`.
+child's picks is a subgroup of its parent's (`check_pair` builds the
+product's classes from stabilizers in its factors).  The rule runs only in
+a call over every vertex (nothing covered, every vertex allowed): at each
+node that expands, once child c has been explored or skipped as dominated,
+c's whole class leaves the eligible set of the later siblings, and a
+sibling that has left this way is not pushed.  c's own subtree keeps c's
+class-mates, since a solution may hold c and a class-mate.  Call a
+solution of a node a set of at most `slots` further picks that covers what
+the picks leave, and let the node's group be the one its classes come
+from.  The rule is sound by induction down the tree, on two facts about
+every node: the node's group maps each solution inside `allowed` to a
+solution inside `allowed`, and when the node's search fails, no solution
+lies inside `allowed`.
   * The group maps solutions to solutions because it fixes the picks, and
     so `covered`.  At the root `allowed` is every vertex.
   * Over a node's children, in order: when c's turn ends without a
@@ -65,8 +64,8 @@ node's search fails, no solution lies inside `allowed`.
     the group taking x to c would map it to a solution that contains c.
     By the first fact that image lies inside the node's `allowed`, and each
     earlier sibling removed only vertices that no solution there uses, so
-    it lies inside the current `allowed` too.  So no solution meets class(c), and the
-    later siblings lose nothing.
+    it lies inside the current `allowed` too.  So no solution meets
+    class(c), and the later siblings lose nothing.
   * A child c inherits the first fact: a solution of c's node, with c
     added, is a solution of the parent.  The parent's group maps it inside
     the parent's `allowed`, so by the step above inside the current one,
@@ -104,7 +103,7 @@ or leave too few vertices to fill the slots.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -403,35 +402,12 @@ def gamma_oracle(g: Graph, guard: int = DEFAULT_ORACLE_GUARD) -> DominationResul
     raise AssertionError("unreachable: V(G) always dominates")
 
 
-def _class_masks(g: Graph, orbits: Sequence[VertexSet]) -> tuple[int, ...]:
-    """The classes as masks, once they are checked to partition V(g) with
-    each vertex in its own class."""
-    if len(orbits) != g.n:
-        raise BadParameterError(
-            f"orbits must give one class per vertex: {len(orbits)} for {g.n}"
-        )
-    masks = []
-    for v, cls in enumerate(orbits):
-        if cls.universe != g.n:
-            raise BadParameterError(
-                f"the class of vertex {v} is over {cls.universe} vertices, not {g.n}"
-            )
-        if not cls.mask >> v & 1:
-            raise BadParameterError(f"the class of vertex {v} does not contain it")
-        masks.append(cls.mask)
-    # Every vertex lies in its own class, so the distinct classes cover V(g);
-    # their sizes add up to n exactly when no two overlap.
-    if sum(m.bit_count() for m in set(masks)) != g.n:
-        raise BadParameterError("orbit classes overlap")
-    return tuple(masks)
-
-
 def gamma_bb(
     g: Graph,
     limits: SolverLimits | None = None,
     *,
     lexmin: bool = True,
-    orbits: Sequence[VertexSet] | Symmetry | None = None,
+    symmetry: Symmetry | None = None,
 ) -> DominationResult:
     """Exact domination number via branch-and-bound.
 
@@ -441,28 +417,19 @@ def gamma_bb(
     depends on the search order but skips the witness pass; use it when any
     minimum dominating set will do.
 
-    `orbits` turns on orbital branching (module docstring).  As a sequence,
-    `orbits[v]` is the class of v in a partition of V(g) whose classes each
-    lie inside one orbit of Aut(g) (see `graphs.vertex_orbits`), and the
-    search skips a whole class at its root once one member has been
-    branched on; BadParameterError when it is not such a partition.  As a
-    `Symmetry` it maps each node's picks to classes, each inside one orbit
+    `symmetry` turns on orbital branching (module docstring).  It is a
+    `Symmetry`: it maps each node's picks to classes, each inside one orbit
     of a group that fixes those picks and lies inside the parent node's
     group; `harness.check_pair` passes one for the product.  It changes the
-    search, never gamma.  Raises BudgetExhaustedError, carrying
-    the best upper bound seen, if the node budget runs out.
-    gamma_restricted solves over a subset of vertices.
+    search, never gamma; BadParameterError when it is not callable.  Raises
+    BudgetExhaustedError, carrying the best upper bound seen, if the node
+    budget runs out.  gamma_restricted solves over a subset of vertices.
     """
     limits = limits or SolverLimits()
-    if orbits is None or callable(orbits):
-        symmetry = orbits
-    else:
-        root = _class_masks(g, orbits).__getitem__
-
-        def symmetry(picks: int) -> Callable[[int], int] | None:
-            # Aut(g) fixes the root's empty picks; below, no group is known.
-            return None if picks else root
-
+    if symmetry is not None and not callable(symmetry):
+        raise BadParameterError(
+            f"symmetry must map picks to classes, got {type(symmetry).__name__}"
+        )
     return _solve(g, g.full_mask, limits.node_budget, lexmin, symmetry)
 
 

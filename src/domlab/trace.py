@@ -55,6 +55,8 @@ from .graphs import (
     ProductGraph,
     VertexSet,
     _check_universe,
+    _project,
+    _spread,
     cartesian_product,
     closed_neighborhood_set,
     is_dominating,
@@ -216,34 +218,13 @@ def build_partition(g: Graph, U: Sequence[int]) -> tuple[int, ...]:
 def project_onto_G(pg: ProductGraph, s: VertexSet) -> VertexSet:
     """First-factor vertices that own at least one member of s."""
     _check_universe(pg.graph, s)
-    hblock = (1 << pg.n_h) - 1
-    mask = 0
-    for u in range(pg.n_g):
-        if (s.mask >> (u * pg.n_h)) & hblock:
-            mask |= 1 << u
-    return VertexSet(pg.n_g, mask)
+    return VertexSet(pg.n_g, _project(s.mask, pg.n_h)[0])
 
 
 def project_onto_H(pg: ProductGraph, s: VertexSet) -> VertexSet:
     """Second-factor vertices that own at least one member of s."""
     _check_universe(pg.graph, s)
-    hblock = (1 << pg.n_h) - 1
-    mask = 0
-    m = s.mask
-    while m:
-        mask |= m & hblock
-        m >>= pg.n_h
-    return VertexSet(pg.n_h, mask)
-
-
-def _spread(mask_g: int, n_h: int) -> int:
-    """Map a G-mask to the product mask of column 0: bit w -> bit w * n_h."""
-    out = 0
-    while mask_g:
-        bit = mask_g & -mask_g
-        out |= 1 << ((bit.bit_length() - 1) * n_h)
-        mask_g ^= bit
-    return out
+    return VertexSet(pg.n_h, _project(s.mask, pg.n_h)[1])
 
 
 def _resolve_gamma(
@@ -264,21 +245,16 @@ def _resolve_gamma(
 
 
 def _dominated_product(
-    g: Graph, h: Graph, D: VertexSet, product: ProductGraph | None
+    g: Graph, h: Graph, D: VertexSet, product: ProductGraph | None = None
 ) -> tuple[ProductGraph, VertexSet]:
     """The product g x h (built unless supplied) and D's projection Q onto g.
 
     Raises when a supplied product does not match the factor sizes or when D
     does not dominate the product.
     """
-    if product is None:
-        pg = cartesian_product(g, h)
-    else:
-        if product.n_g != g.n or product.n_h != h.n:
-            raise BadParameterError(
-                "supplied product does not match the factor sizes"
-            )
-        pg = product
+    pg = cartesian_product(g, h) if product is None else product
+    if pg.n_g != g.n or pg.n_h != h.n:
+        raise BadParameterError("supplied product does not match the factor sizes")
     _check_universe(pg.graph, D)
     if not is_dominating(pg.graph, D):
         raise NotDominatingError("D does not dominate the product graph")
@@ -296,7 +272,6 @@ def _assemble(
     gammaH: int,
 ) -> ProofTrace:
     n_h = h.n
-    hblock = (1 << n_h) - 1
     N = pg.graph.n
     k = len(U)
     pi = build_partition(g, U)
@@ -305,23 +280,20 @@ def _assemble(
     for w, i in enumerate(pi):
         block_masks[i] |= 1 << w
 
+    col0 = _spread(g.full_mask, n_h)
+    block_spread = [_spread(bm, n_h) for bm in block_masks]
+
     dmask = D.mask
     S = []
     T = []
     Dparts = []
     P = []
     for i, u in enumerate(U):
-        s_mask = dmask & (hblock << (u * n_h))
-        S.append(VertexSet(N, s_mask))
+        # {u_i} x V(H) and pi_i x V(H) as product masks.
+        S.append(VertexSet(N, dmask & _spread(1 << u, n_h) * h.full_mask))
         T.append(project_onto_H(pg, S[-1]))
-        # pi_i x V(H) as a product mask: every H-block of every w in pi_i.
-        colblock = _spread(block_masks[i], n_h) * hblock
-        d_mask = dmask & colblock
-        Dparts.append(VertexSet(N, d_mask))
+        Dparts.append(VertexSet(N, dmask & block_spread[i] * h.full_mask))
         P.append(project_onto_H(pg, Dparts[-1]))
-
-    col0 = _spread(g.full_mask, n_h)
-    block_spread = [_spread(bm, n_h) for bm in block_masks]
 
     Qv = []
     C = set()
@@ -553,7 +525,6 @@ def remark_trace(
     h: Graph,
     D: VertexSet,
     limits: SolverLimits | None = None,
-    product: ProductGraph | None = None,
 ) -> RemarkVerdict:
     """Rerun the argument with U = Q for a minimal-projection dominating set.
 
@@ -563,7 +534,7 @@ def remark_trace(
     |C| >= sum_i (gammaH - |P_i| + |D_i|) >= gammaG*gammaH and the resulting
     2|D| >= 2*gammaG*gammaH.
     """
-    pg, Q = _dominated_product(g, h, D, product)
+    pg, Q = _dominated_product(g, h, D)
     if not is_minimal_dominating(g, Q):
         raise ProjectionNotMinimalError(
             f"projection {Q.members} is not a minimal dominating set"

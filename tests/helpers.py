@@ -18,7 +18,9 @@ from domlab import (
     closed_neighborhood_set,
     make_graph,
     shrink_to_minimal,
+    vertex_orbits,
 )
+from domlab.solver import Symmetry
 
 
 def random_graph(rng: random.Random, max_n: int = 8, min_n: int = 1) -> Graph:
@@ -43,6 +45,14 @@ def random_dominating_set(rng: random.Random, g: Graph) -> VertexSet:
             s = s.add(pick)
             covered = covered | closed_neighborhood(g, pick)
     return s
+
+
+def root_symmetry(g: Graph) -> Symmetry:
+    """The orbits of Aut(g) as a symmetry input of `gamma_bb`: classes at the
+    root, where nothing is picked yet, and none below it, where no group
+    that fixes the picks is known."""
+    classes = tuple(cls.mask for cls in vertex_orbits(g))
+    return lambda picks: None if picks else classes.__getitem__
 
 
 def random_minimal_dominating_set(rng: random.Random, g: Graph) -> VertexSet:

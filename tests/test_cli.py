@@ -125,6 +125,12 @@ def test_check_csv(capsys):
     assert lines[1] == "Ch,Ch,2,2,4,2,3,4,3,1,true"
 
 
+def test_check_names_a_factor_past_graph6_by_its_order(capsys):
+    code, out, _ = run(capsys, "check", "path:70", "path:2")
+    assert code == 0
+    assert out.startswith("pair: <n=70> x A_\n")
+
+
 def test_check_jsonl_with_trace(capsys):
     code, out, _ = run(
         capsys, "check", "cycle:5", "path:3", "--format", "jsonl", "--with-trace"

@@ -102,6 +102,14 @@ def test_check_pair_asymmetric_gammas():
     assert not r.violated
 
 
+def test_check_pair_names_factors_past_graph6():
+    # Short-form graph6 stops at 62 vertices; a larger factor is named by
+    # its order, as in sweep error rows, and the check still answers.
+    r = check_pair(path(70), path(2))
+    assert (r.g6_G, r.g6_H) == ("<n=70>", encode_graph6(path(2)))
+    assert r.gammaProduct == 36 and r.trace_ok
+
+
 def test_check_pair_skips_the_witness_pass_on_the_product():
     # With the factors' stabilizer orbits at every depth, minimize takes 41
     # nodes on C6 x P5 (47 with orbits at the root only, 131 without them)
@@ -155,7 +163,7 @@ def test_orbits_below_the_root_keep_the_product_gamma(small_connected_corpus):
     ]
     for a, b in pairs:
         g = cartesian_product(a, b).graph
-        r = gamma_bb(g, lexmin=False, orbits=domlab.harness._product_classes(a, b))
+        r = gamma_bb(g, lexmin=False, symmetry=domlab.harness._product_classes(a, b))
         assert r.gamma == gamma_bb(g, lexmin=False).gamma
         assert len(r.witness) == r.gamma and is_dominating(g, r.witness)
 
@@ -206,7 +214,7 @@ def test_product_search_finds_the_same_sets(small_connected_corpus):
         r = gamma_bb(
             cartesian_product(a, b).graph,
             lexmin=False,
-            orbits=domlab.harness._product_classes(a, b),
+            symmetry=domlab.harness._product_classes(a, b),
         )
         digest.update(f"{r.gamma} {list(r.witness.members)}\n".encode())
     assert digest.hexdigest() == (

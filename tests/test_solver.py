@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +46,7 @@ from helpers import (
     naive_minimum_dominating_sets,
     random_dominating_set,
     random_graph,
+    root_symmetry,
 )
 
 
@@ -221,26 +225,11 @@ def test_bad_node_budget_rejected():
         SolverLimits(node_budget=0)
 
 
-def test_orbits_of_the_wrong_length_rejected():
-    with pytest.raises(BadParameterError, match="one class per vertex"):
-        gamma_bb(path(3), orbits=[VertexSet.full(3)] * 2)
-
-
-def test_orbit_class_missing_its_own_vertex_rejected():
-    ends = VertexSet.from_members(3, [0, 2])
-    with pytest.raises(BadParameterError, match="vertex 1 does not contain it"):
-        gamma_bb(path(3), orbits=[ends] * 3)
-
-
-def test_overlapping_orbit_classes_rejected():
-    first, second = VertexSet.from_members(3, [0, 1]), VertexSet.from_members(3, [1, 2])
-    with pytest.raises(BadParameterError, match="overlap"):
-        gamma_bb(path(3), orbits=[first, second, second])
-
-
-def test_orbit_classes_over_another_universe_rejected():
-    with pytest.raises(BadParameterError, match="over 4 vertices"):
-        gamma_bb(path(3), orbits=[VertexSet.full(4)] * 3)
+def test_symmetry_must_be_callable():
+    # The search calls its symmetry input with each node's picks; a sequence
+    # of classes is refused up front, not by a TypeError mid-search.
+    with pytest.raises(BadParameterError, match="symmetry must map picks"):
+        gamma_bb(path(3), symmetry=list(vertex_orbits(path(3))))
 
 
 def test_orbits_keep_gamma_and_cut_nodes():
@@ -249,15 +238,15 @@ def test_orbits_keep_gamma_and_cut_nodes():
     # 131 (test_enumerate_charges_gamma_and_listing_to_one_budget).
     rng = random.Random(21)
     for g in [random_graph(rng, max_n=11) for _ in range(80)]:
-        r = gamma_bb(g, lexmin=False, orbits=vertex_orbits(g))
+        r = gamma_bb(g, lexmin=False, symmetry=root_symmetry(g))
         assert r.gamma == gamma_oracle(g).gamma
         assert is_dominating(g, r.witness) and len(r.witness) == r.gamma
-        assert gamma_bb(g, orbits=vertex_orbits(g)) == gamma_oracle(g)
+        assert gamma_bb(g, symmetry=root_symmetry(g)) == gamma_oracle(g)
     g = cartesian_product(cycle(6), path(5)).graph
     limits = SolverLimits(node_budget=47)
-    assert gamma_bb(g, limits, lexmin=False, orbits=vertex_orbits(g)).gamma == 8
+    assert gamma_bb(g, limits, lexmin=False, symmetry=root_symmetry(g)).gamma == 8
     with pytest.raises(BudgetExhaustedError):
-        gamma_bb(g, SolverLimits(46), lexmin=False, orbits=vertex_orbits(g))
+        gamma_bb(g, SolverLimits(46), lexmin=False, symmetry=root_symmetry(g))
 
 
 def test_budget_exhaustion_carries_a_usable_bound():
@@ -298,6 +287,38 @@ def test_grid_10x10_is_changs_value():
     assert r.gamma == 24
     assert is_dominating(grid(10, 10), r.witness)
     assert len(milp_gamma(grid(10, 10))) == 24
+
+
+def test_gnp_pool_of_the_benchmark_matches_milp():
+    # 30 seeded entries of the `grid_solve` pool in bench/reference.json
+    # (G(n, p) on 40 to 60 vertices; entries are [n, p, seed, gamma,
+    # witness mask in hex, ms]): gamma_bb, the pool and the MILP solver
+    # agree on gamma, and the pool's witness is gamma_bb's and dominates.
+    reference = Path(__file__).parents[1] / "bench" / "reference.json"
+    pool = json.loads(reference.read_text())["grid_solve"]["pool"]
+    for n, p, seed, gamma, witness, _ in random.Random(2000).sample(pool, 30):
+        g = random_gnp(n, p, seed)
+        r = gamma_bb(g)
+        assert r.gamma == gamma == len(milp_gamma(g))
+        assert r.witness == VertexSet(n, int(witness, 16))
+        assert is_dominating(g, r.witness)
+
+
+def test_solver_does_not_assume_the_theorem_it_checks():
+    # The search that verifies bound_new must not be pruned with it, or
+    # with anything built on the counting argument: the solver imports
+    # neither the harness nor the trace, and never names bound_new.
+    source = (Path(__file__).parents[1] / "src" / "domlab" / "solver.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    for name in imported:
+        assert not {"harness", "trace"} & set(name.split(".")), name
+    assert "bound_new" not in source
 
 
 def test_long_path_witness_pass_starts_from_the_minimum_set():

@@ -356,7 +356,7 @@ def test_remark_chain_on_qualifying_random_instances():
         if not is_minimal_dominating(g, project_onto_G(pg, D)):
             continue
         found += 1
-        rv = remark_trace(g, h, D, product=pg)
+        rv = remark_trace(g, h, D)
         assert rv.all_passed
         assert len(D) >= rv.trace.gammaG * rv.trace.gammaH
     assert found >= 10
