@@ -7,6 +7,7 @@ checked exactly; repeated runs must be byte-identical.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 from dataclasses import replace
 
@@ -231,6 +232,37 @@ def test_trace_inject_fault(capsys, monkeypatch):
     assert code == 1
     assert "result: CHECKS FAILED" in out
     assert "check_final        FAIL" in out
+
+
+# Digests of the trace and remark outputs, so a refactor of the verdict types
+# cannot change a byte of them unnoticed.
+PINNED_OUTPUTS = [
+    (
+        ("trace", "grid:3x3", "cycle:4"),
+        "cd8cf4e6ae7a301a0aef4919cd571c53a19aa7f9fbdbf1200e00ae8210a032b9",
+    ),
+    (
+        ("trace", "grid:3x3", "cycle:4", "--format", "jsonl"),
+        "53d44563878857abaec8674ffb6d52008577bc607425d129a82848036d2c088c",
+    ),
+    (
+        ("remark", "star:6", "star:6"),
+        "c8e1c9c1a4720cf6388c86be0d48eb967fce4e8a5f5885197d75b7fea6580907",
+    ),
+    (
+        ("remark", "star:6", "star:6", "--format", "jsonl"),
+        "9d0c7d495a4c472d81223df7ac161c2d2d6eba7b3cb4a55f5425e6506d9a5533",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_OUTPUTS]
+)
+def test_trace_and_remark_outputs_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
