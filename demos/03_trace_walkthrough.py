@@ -63,7 +63,7 @@ def main() -> None:
     clear = all(contradiction_witness(t, v) is None for v in range(h.n))
     print(f"contradiction scan found nothing: {clear}")
     print(f"all ten checks passed: {verdict.all_passed}")
-    final = verdict.check_final
+    final = verdict.check("check_final")
     print(f"conclusion: {final.statement}")
 
 

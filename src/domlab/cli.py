@@ -53,7 +53,9 @@ from .harness import (
 )
 from .solver import DEFAULT_ORACLE_GUARD, SolverLimits, gamma_bb, gamma_oracle
 from .trace import (
+    TraceVerdict,
     build_trace,
+    check_to_dict,
     format_check,
     remark_trace,
     trace_report,
@@ -352,6 +354,15 @@ def _cmd_check(args) -> int:
     return 1 if report.violated else 0
 
 
+def _verdict_lines(verdict: TraceVerdict, *notes: str) -> list[str]:
+    """One line per check, then the notes, then the `result:` line."""
+    return [
+        *(format_check(c) for c in verdict.checks),
+        *notes,
+        "result: " + ("all checks passed" if verdict.all_passed else "CHECKS FAILED"),
+    ]
+
+
 def _cmd_trace(args) -> int:
     g = resolve_graph(args.graph_g, args.seed)
     h = resolve_graph(args.graph_h, args.seed)
@@ -364,8 +375,7 @@ def _cmd_trace(args) -> int:
     tr = build_trace(g, h, dom, limits=limits, product=pg)
     verdict = verify_trace(tr)
     # check_R fails exactly when some layer has a contradiction witness.
-    witnesses_clear = verdict.check_R.passed
-    ok = verdict.all_passed
+    witnesses_clear = verdict.check("check_R").passed
     if args.format == "jsonl":
         _emit(args, json.dumps(trace_report(tr, verdict)) + "\n")
     else:
@@ -375,14 +385,13 @@ def _cmd_trace(args) -> int:
             f" k={tr.k} |C|={len(tr.C)}",
             f"U = [{', '.join(str(u) for u in tr.U)}]",
         ]
-        lines.extend(format_check(c) for c in verdict.checks)
-        lines.append(
+        lines += _verdict_lines(
+            verdict,
             "contradiction_witness: "
-            + ("none at every layer" if witnesses_clear else "PRESENT")
+            + ("none at every layer" if witnesses_clear else "PRESENT"),
         )
-        lines.append("result: " + ("all checks passed" if ok else "CHECKS FAILED"))
         _emit(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return 0 if verdict.all_passed else 1
 
 
 def _cmd_remark(args) -> int:
@@ -410,12 +419,8 @@ def _cmd_remark(args) -> int:
         members = ", ".join(str(v) for v in report.found)
         lines.append(f"found D = {{{members}}} with minimal projection")
         verdict = remark_trace(g, h, report.found, limits=limits)
-        lines.extend(format_check(c) for c in verdict.checks)
-        lines.append(
-            "result: "
-            + ("all checks passed" if verdict.all_passed else "CHECKS FAILED")
-        )
-        payload["remark_checks"] = trace_report(verdict.trace, verdict)["checks"]
+        lines += _verdict_lines(verdict)
+        payload["remark_checks"] = [check_to_dict(c) for c in verdict.checks]
         payload["all_passed"] = verdict.all_passed
     if args.format == "jsonl":
         _emit(args, json.dumps(payload) + "\n")

@@ -86,6 +86,12 @@ def encode_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def graph_name(g: Graph) -> str:
+    """A graph's name in a report: its graph6 string, or `<n=N>` past the
+    62 vertices that short-form graph6 can encode."""
+    return encode_graph6(g) if g.n <= 62 else f"<n={g.n}>"
+
+
 def parse_graph6_lines(text: str) -> list[Graph]:
     """Decode every nonblank line of a graph6 file body."""
     graphs = []

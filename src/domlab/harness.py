@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadParameterError, TooLargeError
-from .graph6 import encode_graph6
+from .graph6 import graph_name
 from .graphs import (
     Graph,
     VertexSet,
@@ -169,16 +169,14 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
         a, b, rprod.witness, gamma_g=ra, gamma_h=rb, limits=limits, product=pg
     )
     verdict = verify_trace(tr)
-    # check_R fails exactly when some layer has a contradiction witness.
-    trace_ok = verdict.all_passed
 
     gg, gh = rg.gamma, rh.gamma
     prod_term = gg * gh
     hi, lo = max(gg, gh), min(gg, gh)
     bound_new = _ceil_half(prod_term + hi)
     return PairReport(
-        g6_G=_graph_name(g),
-        g6_H=_graph_name(h),
+        g6_G=graph_name(g),
+        g6_H=graph_name(h),
         gammaG=gg,
         gammaH=gh,
         gammaProduct=rprod.gamma,
@@ -188,7 +186,7 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
         bound_ST_body=_ceil_half(prod_term) + lo,
         bound_CS=_ceil_half(prod_term),
         slack_new=rprod.gamma - bound_new,
-        trace_ok=trace_ok,
+        trace_ok=verdict.all_passed,
         verdict=verdict,
     )
 
@@ -262,12 +260,6 @@ def _stabilizer_orbits(
     return orbits
 
 
-def _graph_name(g: Graph) -> str:
-    """A factor's name in a report: its graph6 string, or `<n=N>` past the
-    62 vertices that short-form graph6 can encode."""
-    return encode_graph6(g) if g.n <= 62 else f"<n={g.n}>"
-
-
 def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
     g, h, limits = args
     try:
@@ -276,8 +268,8 @@ def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
         # One failed pair, even RecursionError or MemoryError, becomes an
         # error row; the rest of the sweep goes on.
         return PairReport(
-            g6_G=_graph_name(g),
-            g6_H=_graph_name(h),
+            g6_G=graph_name(g),
+            g6_H=graph_name(h),
             error=f"{type(exc).__name__}: {exc}",
         )
 

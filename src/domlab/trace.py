@@ -36,6 +36,10 @@ factors itself; orientation is the caller's contract.
 C membership is evaluated literally against closed neighborhoods in the
 product graph, not through any shortcut, so a passing verdict really is a
 line-by-line replay of the argument on this instance.
+
+A verdict is its ordered checks: verify_trace returns the ten above in the
+order listed, remark_trace the same ten followed by its three, and one check
+is read with `verdict.check(name)`.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import (
     NotDominatingError,
     ProjectionNotMinimalError,
 )
-from .graph6 import encode_graph6
+from .graph6 import graph_name
 from .graphs import (
     Graph,
     ProductGraph,
@@ -119,66 +123,35 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class TraceVerdict:
-    """Pass/fail results of the ten checks for one trace."""
+    """The checks of one trace, in the order the argument makes them."""
 
-    check_T: CheckResult
-    check_Pdom: CheckResult
-    check_Pineq: CheckResult
-    check_disjoint: CheckResult
-    check_membership: CheckResult
-    check_L: CheckResult
-    check_eq1: CheckResult
-    check_R: CheckResult
-    check_eq2: CheckResult
-    check_final: CheckResult
-
-    @property
-    def checks(self) -> tuple[CheckResult, ...]:
-        return (
-            self.check_T,
-            self.check_Pdom,
-            self.check_Pineq,
-            self.check_disjoint,
-            self.check_membership,
-            self.check_L,
-            self.check_eq1,
-            self.check_R,
-            self.check_eq2,
-            self.check_final,
-        )
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    def check(self, name: str) -> CheckResult:
+        """The check called `name`; KeyError when there is none."""
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
 
 @dataclass(frozen=True)
-class RemarkVerdict:
+class RemarkVerdict(TraceVerdict):
     """Verdict for the minimal-projection special case.
 
     When the projection Q of D onto G is itself a minimal dominating set,
     the argument is rerun with U = Q, and the per-block counting sharpens to
     |C| >= sum_i (gamma(H) - |P_i| + |D_i|) >= gamma(G)*gamma(H), which
-    forces |D| >= gamma(G)*gamma(H) through eq2.
+    forces |D| >= gamma(G)*gamma(H) through eq2.  Its checks are the ten of
+    verify_trace followed by check_remark_sum, check_remark_product and
+    check_remark_conjecture; `trace` is the trace they were made on.
     """
 
     trace: ProofTrace
-    base: TraceVerdict
-    check_remark_sum: CheckResult
-    check_remark_product: CheckResult
-    check_remark_conjecture: CheckResult
-
-    @property
-    def checks(self) -> tuple[CheckResult, ...]:
-        return self.base.checks + (
-            self.check_remark_sum,
-            self.check_remark_product,
-            self.check_remark_conjecture,
-        )
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +343,17 @@ def _quantified(name: str, statement: str, violations: list[str]) -> CheckResult
     )
 
 
+def _at_least(name: str, claim: str, lhs: int, rhs: int) -> CheckResult:
+    """The scalar check `claim`, which reads lhs >= rhs."""
+    return CheckResult(
+        name=name,
+        passed=lhs >= rhs,
+        statement=f"{claim}: {lhs} >= {rhs}",
+        lhs=lhs,
+        rhs=rhs,
+    )
+
+
 def verify_trace(t: ProofTrace) -> TraceVerdict:
     """Evaluate the ten checks on a finished trace.
 
@@ -380,6 +364,7 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
     k = t.k
     dsize = len(t.D)
     csize = len(t.C)
+    checks = []
 
     # V(H) - N_H[P_i] per block.
     comp_masks = [
@@ -387,15 +372,15 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
     ]
 
     v_T = [f"i={i}: |T_i|={len(t.T[i])}" for i in range(k) if len(t.T[i]) < 1]
-    check_T = _quantified("check_T", "every |T_i| >= 1", v_T)
+    checks.append(_quantified("check_T", "every |T_i| >= 1", v_T))
 
     v_Pdom = []
     for i in range(k):
         union = VertexSet(h.n, t.P[i].mask | comp_masks[i])
         if not is_dominating(h, union):
             v_Pdom.append(f"i={i}: P_i with its non-dominated rest misses H")
-    check_Pdom = _quantified(
-        "check_Pdom", "every P_i + (V(H) - N_H[P_i]) dominates H", v_Pdom
+    checks.append(
+        _quantified("check_Pdom", "every P_i + (V(H) - N_H[P_i]) dominates H", v_Pdom)
     )
 
     v_Pineq = []
@@ -404,8 +389,8 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
         rhs = t.gammaH - len(t.P[i])
         if lhs < rhs:
             v_Pineq.append(f"i={i}: {lhs} < {rhs}")
-    check_Pineq = _quantified(
-        "check_Pineq", "every |V(H) - N_H[P_i]| >= gammaH - |P_i|", v_Pineq
+    checks.append(
+        _quantified("check_Pineq", "every |V(H) - N_H[P_i]| >= gammaH - |P_i|", v_Pineq)
     )
 
     v_disj = []
@@ -413,8 +398,10 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
         overlap = comp_masks[i] & t.T[i].mask
         if overlap:
             v_disj.append(f"i={i}: overlap {VertexSet(h.n, overlap).members}")
-    check_disjoint = _quantified(
-        "check_disjoint", "every (V(H) - N_H[P_i]) is disjoint from T_i", v_disj
+    checks.append(
+        _quantified(
+            "check_disjoint", "every (V(H) - N_H[P_i]) is disjoint from T_i", v_disj
+        )
     )
 
     v_member = []
@@ -427,10 +414,12 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
             m ^= bit
             if (i, v) not in t.C:
                 v_member.append(f"(i={i}, v={v}) missing from C")
-    check_membership = _quantified(
-        "check_membership",
-        "v in (V(H) - N_H[P_i]) + T_i implies (i, v) in C",
-        v_member,
+    checks.append(
+        _quantified(
+            "check_membership",
+            "v in (V(H) - N_H[P_i]) + T_i implies (i, v) in C",
+            v_member,
+        )
     )
 
     v_L = []
@@ -438,61 +427,47 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
         rhs = comp_masks[i].bit_count() + len(t.T[i])
         if t.Lsizes[i] < rhs:
             v_L.append(f"i={i}: {t.Lsizes[i]} < {rhs}")
-    check_L = _quantified(
-        "check_L", "every |L_i| >= |V(H) - N_H[P_i]| + |T_i|", v_L
+    checks.append(
+        _quantified("check_L", "every |L_i| >= |V(H) - N_H[P_i]| + |T_i|", v_L)
     )
 
     eq1_rhs = k * t.gammaH - dsize + k
-    check_eq1 = CheckResult(
-        name="check_eq1",
-        passed=csize >= eq1_rhs,
-        statement=f"|C| >= k*gammaH - |D| + k: {csize} >= {eq1_rhs}",
-        lhs=csize,
-        rhs=eq1_rhs,
-    )
+    checks.append(_at_least("check_eq1", "|C| >= k*gammaH - |D| + k", csize, eq1_rhs))
 
     v_R = []
     for v in range(h.n):
         if t.Rsizes[v] > len(t.Qv[v]):
             v_R.append(f"v={v}: {t.Rsizes[v]} > {len(t.Qv[v])}")
-    check_R = _quantified("check_R", "every |R_v| <= |Q_v|", v_R)
+    checks.append(_quantified("check_R", "every |R_v| <= |Q_v|", v_R))
 
-    check_eq2 = CheckResult(
-        name="check_eq2",
-        passed=csize <= dsize,
-        statement=f"|C| <= |D|: {csize} <= {dsize}",
-        lhs=csize,
-        rhs=dsize,
+    checks.append(
+        CheckResult(
+            name="check_eq2",
+            passed=csize <= dsize,
+            statement=f"|C| <= |D|: {csize} <= {dsize}",
+            lhs=csize,
+            rhs=dsize,
+        )
     )
 
     final_lhs = 2 * dsize
     final_rhs = k * t.gammaH + k
     final_rhs2 = t.gammaG * t.gammaH + max(t.gammaG, t.gammaH)
-    check_final = CheckResult(
-        name="check_final",
-        passed=final_lhs >= final_rhs and final_lhs >= final_rhs2,
-        statement=(
-            f"2|D| >= k*gammaH + k: {final_lhs} >= {final_rhs};"
-            f" 2|D| >= gammaG*gammaH + max(gammaG, gammaH):"
-            f" {final_lhs} >= {final_rhs2}"
-        ),
-        lhs=final_lhs,
-        rhs=final_rhs,
-        rhs2=final_rhs2,
+    checks.append(
+        CheckResult(
+            name="check_final",
+            passed=final_lhs >= final_rhs and final_lhs >= final_rhs2,
+            statement=(
+                f"2|D| >= k*gammaH + k: {final_lhs} >= {final_rhs};"
+                f" 2|D| >= gammaG*gammaH + max(gammaG, gammaH):"
+                f" {final_lhs} >= {final_rhs2}"
+            ),
+            lhs=final_lhs,
+            rhs=final_rhs,
+            rhs2=final_rhs2,
+        )
     )
-
-    return TraceVerdict(
-        check_T=check_T,
-        check_Pdom=check_Pdom,
-        check_Pineq=check_Pineq,
-        check_disjoint=check_disjoint,
-        check_membership=check_membership,
-        check_L=check_L,
-        check_eq1=check_eq1,
-        check_R=check_R,
-        check_eq2=check_eq2,
-        check_final=check_final,
-    )
+    return TraceVerdict(tuple(checks))
 
 
 def contradiction_witness(t: ProofTrace, v: int) -> VertexSet | None:
@@ -542,47 +517,27 @@ def remark_trace(
     gammaG = gamma_bb(g, limits).gamma
     gammaH = gamma_bb(h, limits).gamma
     trace = _assemble(g, h, pg, D, Q, Q.members, gammaG, gammaH)
-    base = verify_trace(trace)
-
-    csize = len(trace.C)
-    dsize = len(trace.D)
     sum_rhs = sum(
         gammaH - len(trace.P[i]) + len(trace.Dparts[i]) for i in range(trace.k)
     )
     product_rhs = gammaG * gammaH
-    check_sum = CheckResult(
-        name="check_remark_sum",
-        passed=csize >= sum_rhs,
-        statement=f"|C| >= sum_i(gammaH - |P_i| + |D_i|): {csize} >= {sum_rhs}",
-        lhs=csize,
-        rhs=sum_rhs,
-    )
-    check_product = CheckResult(
-        name="check_remark_product",
-        passed=sum_rhs >= product_rhs,
-        statement=(
-            f"sum_i(gammaH - |P_i| + |D_i|) >= gammaG*gammaH:"
-            f" {sum_rhs} >= {product_rhs}"
+    sum_claim = "sum_i(gammaH - |P_i| + |D_i|)"
+    remark_checks = (
+        _at_least("check_remark_sum", f"|C| >= {sum_claim}", len(trace.C), sum_rhs),
+        _at_least(
+            "check_remark_product",
+            f"{sum_claim} >= gammaG*gammaH",
+            sum_rhs,
+            product_rhs,
         ),
-        lhs=sum_rhs,
-        rhs=product_rhs,
-    )
-    check_conjecture = CheckResult(
-        name="check_remark_conjecture",
-        passed=2 * dsize >= 2 * product_rhs,
-        statement=(
-            f"2|D| >= 2*gammaG*gammaH: {2 * dsize} >= {2 * product_rhs}"
+        _at_least(
+            "check_remark_conjecture",
+            "2|D| >= 2*gammaG*gammaH",
+            2 * len(trace.D),
+            2 * product_rhs,
         ),
-        lhs=2 * dsize,
-        rhs=2 * product_rhs,
     )
-    return RemarkVerdict(
-        trace=trace,
-        base=base,
-        check_remark_sum=check_sum,
-        check_remark_product=check_product,
-        check_remark_conjecture=check_conjecture,
-    )
+    return RemarkVerdict(verify_trace(trace).checks + remark_checks, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +565,14 @@ def format_check(c: CheckResult) -> str:
     return line
 
 
-def trace_report(t: ProofTrace, verdict: TraceVerdict | RemarkVerdict) -> dict:
+def trace_report(t: ProofTrace, verdict: TraceVerdict) -> dict:
     """Structured JSON-ready report: cardinalities plus per-check verdicts."""
-    checks = verdict.checks
-    eq1 = next(c for c in checks if c.name == "check_eq1")
-    eq2 = next(c for c in checks if c.name == "check_eq2")
-    final = next(c for c in checks if c.name == "check_final")
+    eq1 = verdict.check("check_eq1")
+    eq2 = verdict.check("check_eq2")
+    final = verdict.check("check_final")
     return {
-        "g6_G": encode_graph6(t.g),
-        "g6_H": encode_graph6(t.h),
+        "g6_G": graph_name(t.g),
+        "g6_H": graph_name(t.h),
         "n_G": t.g.n,
         "n_H": t.h.n,
         "gammaG": t.gammaG,
@@ -639,6 +593,6 @@ def trace_report(t: ProofTrace, verdict: TraceVerdict | RemarkVerdict) -> dict:
         "eq1": {"lhs": eq1.lhs, "rhs": eq1.rhs},
         "eq2": {"lhs": eq2.lhs, "rhs": eq2.rhs},
         "final": {"lhs": final.lhs, "rhs_chain": final.rhs, "rhs_bound": final.rhs2},
-        "checks": [check_to_dict(c) for c in checks],
+        "checks": [check_to_dict(c) for c in verdict.checks],
         "all_passed": verdict.all_passed,
     }

@@ -186,10 +186,11 @@ def test_acceptance_5_remark_positive_path():
         rv = remark_trace(g, h, rep.found)
         verified += 1
         product_term = rv.trace.gammaG * rv.trace.gammaH
+        remark_sum = rv.check("check_remark_sum")
         exact = (
             rv.all_passed
-            and rv.check_remark_sum.lhs >= rv.check_remark_sum.rhs
-            and rv.check_remark_product.rhs == product_term
+            and remark_sum.lhs >= remark_sum.rhs
+            and rv.check("check_remark_product").rhs == product_term
             and len(rep.found) >= product_term
         )
         if not exact:

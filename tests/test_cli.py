@@ -176,6 +176,14 @@ def test_trace_jsonl_shape(capsys):
     assert len(rec["checks"]) == 10
 
 
+def test_trace_jsonl_names_a_factor_past_graph6_by_its_order(capsys):
+    code, out, _ = run(capsys, "trace", "path:70", "path:2", "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["g6_G"], rec["g6_H"]) == ("<n=70>", "A_")
+    assert rec["all_passed"] is True
+
+
 def test_trace_with_explicit_dom_set(capsys, tmp_path):
     p = tmp_path / "ds.txt"
     p.write_text("0 2\n")
@@ -223,9 +231,11 @@ def test_trace_inject_fault(capsys, monkeypatch):
 
     def failing_final(tr):
         verdict = real(tr)
-        return replace(
-            verdict, check_final=replace(verdict.check_final, passed=False)
+        checks = tuple(
+            replace(c, passed=False) if c.name == "check_final" else c
+            for c in verdict.checks
         )
+        return replace(verdict, checks=checks)
 
     monkeypatch.setattr(cli, "verify_trace", failing_final)
     code, out, _ = run(capsys, "trace", "path:4", "complete:1")
@@ -290,6 +300,14 @@ def test_remark_hit_runs_sharpened_checks(capsys):
     assert "check_remark_product" in out
     assert "check_remark_conjecture" in out
     assert out.endswith("result: all checks passed\n")
+
+
+def test_remark_jsonl_runs_on_a_factor_past_graph6(capsys):
+    code, out, _ = run(capsys, "remark", "path:70", "path:2", "--format", "jsonl")
+    assert code == 0
+    rec = json.loads(out)
+    assert len(rec["remark_checks"]) == 13
+    assert rec["all_passed"] is True
 
 
 def test_remark_lists_a_grid_with_many_size_gamma_subsets(capsys):

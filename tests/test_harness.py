@@ -201,7 +201,7 @@ def test_check_pair_traces_a_minimum_set(full_sweep):
     assert len(reports) == 496
     for r in reports:
         assert r.trace_ok
-        assert r.verdict.check_eq2.rhs == r.gammaProduct
+        assert r.verdict.check("check_eq2").rhs == r.gammaProduct
 
 
 def test_product_search_finds_the_same_sets(small_connected_corpus):

@@ -31,6 +31,7 @@ from domlab import (
     path,
     project_onto_G,
     project_onto_H,
+    remark_search,
     remark_trace,
     star,
     trace_report,
@@ -140,9 +141,10 @@ def test_trace_path_times_single_vertex():
     assert t.Rsizes == (2,)
     v = verify_trace(t)
     assert v.all_passed
-    assert v.check_final.lhs == 4
-    assert v.check_final.rhs == 4
-    assert v.check_final.rhs2 == 4
+    final = v.check("check_final")
+    assert final.lhs == 4
+    assert final.rhs == 4
+    assert final.rhs2 == 4
 
 
 def test_trace_with_caller_chosen_dominating_set():
@@ -155,7 +157,8 @@ def test_trace_with_caller_chosen_dominating_set():
     assert len(t.C) == 2
     v = verify_trace(t)
     assert v.all_passed
-    assert (v.check_final.lhs, v.check_final.rhs) == (4, 4)
+    final = v.check("check_final")
+    assert (final.lhs, final.rhs) == (4, 4)
 
 
 def test_trace_four_by_four_grid_instance():
@@ -173,9 +176,10 @@ def test_trace_four_by_four_grid_instance():
     assert t.Rsizes == (1, 1, 1, 1)
     v = verify_trace(t)
     assert v.all_passed
-    assert (v.check_eq1.lhs, v.check_eq1.rhs) == (4, 2)
-    assert (v.check_eq2.lhs, v.check_eq2.rhs) == (4, 4)
-    assert (v.check_final.lhs, v.check_final.rhs, v.check_final.rhs2) == (8, 6, 6)
+    eq1, eq2, final = (v.check(n) for n in ("check_eq1", "check_eq2", "check_final"))
+    assert (eq1.lhs, eq1.rhs) == (4, 2)
+    assert (eq2.lhs, eq2.rhs) == (4, 4)
+    assert (final.lhs, final.rhs, final.rhs2) == (8, 6, 6)
 
 
 def test_trace_gamma_values_stored():
@@ -277,11 +281,11 @@ def test_verdict_statements_carry_numbers():
     for c in v.checks:
         assert isinstance(c.statement, str) and c.statement
     # Scalar inequalities substitute the computed numbers into the text.
-    for c in (v.check_eq1, v.check_eq2, v.check_final):
+    for c in (v.check(n) for n in ("check_eq1", "check_eq2", "check_final")):
         assert c.lhs is not None and c.rhs is not None
         assert f"{c.lhs} " in c.statement
-    assert "4 >= 2" in v.check_eq1.statement
-    assert "4 <= 4" in v.check_eq2.statement
+    assert "4 >= 2" in v.check("check_eq1").statement
+    assert "4 <= 4" in v.check("check_eq2").statement
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +322,36 @@ def test_remark_single_vertex_pair():
     rv = remark_trace(complete(1), complete(1), VertexSet.from_members(1, [0]))
     assert rv.all_passed
     assert len(rv.checks) == 13
-    assert rv.check_remark_sum.lhs == 1
-    assert rv.check_remark_product.rhs == 1
-    assert rv.check_remark_conjecture.statement == "2|D| >= 2*gammaG*gammaH: 2 >= 2"
+    assert rv.check("check_remark_sum").lhs == 1
+    assert rv.check("check_remark_product").rhs == 1
+    conjecture = rv.check("check_remark_conjecture")
+    assert conjecture.statement == "2|D| >= 2*gammaG*gammaH: 2 >= 2"
 
 
 def test_remark_path_graph_with_single_vertex_factor():
     rv = remark_trace(path(3), complete(1), VertexSet.from_members(3, [1]))
     assert rv.all_passed
-    assert rv.check_remark_sum.statement == "|C| >= sum_i(gammaH - |P_i| + |D_i|): 1 >= 1"
+    statement = rv.check("check_remark_sum").statement
+    assert statement == "|C| >= sum_i(gammaH - |P_i| + |D_i|): 1 >= 1"
+
+
+def test_remark_verdict_is_the_ten_checks_then_its_three():
+    g = h = star(6)
+    rv = remark_trace(g, h, remark_search(g, h).found)
+    assert rv.checks[:10] == verify_trace(rv.trace).checks
+    assert tuple(c.name for c in rv.checks[10:]) == (
+        "check_remark_sum",
+        "check_remark_product",
+        "check_remark_conjecture",
+    )
+
+
+def test_verdict_check_reads_a_check_by_name():
+    t = build_trace(path(4), complete(1), VertexSet.from_members(4, [0, 2]))
+    v = verify_trace(t)
+    assert tuple(v.check(name) for name in CHECK_NAMES) == v.checks
+    with pytest.raises(KeyError):
+        v.check("nope")
 
 
 def test_remark_rejects_non_minimal_projection():
@@ -370,7 +395,7 @@ def test_remark_chain_on_qualifying_random_instances():
 def test_check_to_dict_shape():
     t = build_trace(path(4), complete(1), VertexSet.from_members(4, [0, 2]))
     v = verify_trace(t)
-    d = check_to_dict(v.check_final)
+    d = check_to_dict(v.check("check_final"))
     assert d["name"] == "check_final"
     assert d["passed"] is True
     assert d["lhs"] == 4
@@ -379,7 +404,7 @@ def test_check_to_dict_shape():
 def test_format_check_text():
     t = build_trace(path(4), complete(1), VertexSet.from_members(4, [0, 2]))
     v = verify_trace(t)
-    line = format_check(v.check_T)
+    line = format_check(v.check("check_T"))
     assert line.startswith("check_T")
     assert "PASS" in line
 
