@@ -275,6 +275,78 @@ def test_trace_and_remark_outputs_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Digests of the pair reports in every format, so a change to how a report is
+# serialized cannot move a byte, a column or a JSONL key unnoticed.  The node
+# budget of 40 stops 7 of the 21 cycle pairs, so error rows are pinned too.
+_BUDGET_40 = ("sweep", "--family", "cycles:3..8", "--node-budget", "40")
+PINNED_REPORTS = [
+    (
+        ("check", "cycle:6", "cycle:6"),
+        "855f01b9f97ef58dba741b9d956d9ab3b9b0e1333d88678d1144ca78223544d2",
+    ),
+    (
+        ("check", "cycle:6", "cycle:6", "--format", "csv"),
+        "94817fa1ec1e1ee140abb9f991a5d0ba39044bbc4efba11060f612dc027d1d1f",
+    ),
+    (
+        ("check", "cycle:6", "cycle:6", "--format", "jsonl", "--with-trace"),
+        "1dc660ed887225a6e5b7ed5755f446e9bba97fc387573f47301b53e716afeed3",
+    ),
+    (
+        ("sweep", "--family", "cycles:3..8", "--format", "human"),
+        "412f5e992021ced21cb989f96c0a99d843571daf15621122dad674638ca3179f",
+    ),
+    (
+        ("sweep", "--family", "cycles:3..8", "--format", "csv"),
+        "41447f6df77a804ed8f7500e7be66ddc3da8df5ea06977c7dcd40758c7524587",
+    ),
+    (
+        ("sweep", "--family", "cycles:3..8", "--with-trace", "--format", "jsonl"),
+        "1869cf86bf1c6d37757837d140e609dc9aaf04c53b0963862c2779ce81d2e790",
+    ),
+    (
+        (*_BUDGET_40, "--format", "csv"),
+        "b78ec372533c9cff19d86659106a44eed9c3f352e2b60e4fff8a6961aa37a6ed",
+    ),
+    (
+        (*_BUDGET_40, "--format", "jsonl"),
+        "12b3710159a2269f6f2020180bdccf89c7747d9459fe7d8788605f66b58319ac",
+    ),
+    (
+        (*_BUDGET_40, "--format", "human"),
+        "b3bca6ad7508fe63fba58ede5108bba42bcd940f971cf63dc4fac5a9a0ceda58",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_REPORTS, ids=[" ".join(a) for a, _ in PINNED_REPORTS]
+)
+def test_pair_report_outputs_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_error_row_jsonl_keeps_every_key_in_order(capsys):
+    code, out, _ = run(capsys, *_BUDGET_40, "--format", "jsonl")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    errors = [r for r in rows if r["error"] is not None]
+    assert len(errors) == 7
+    assert list(errors[0]) == [
+        "g6_G", "g6_H", "gammaG", "gammaH", "gammaProduct", "bound_conjecture",
+        "bound_CS", "bound_ST_half", "bound_ST_body", "bound_new", "slack_new",
+        "trace_ok", "error",
+    ]
+    assert errors[0] == {
+        **dict.fromkeys(errors[0], None),
+        "g6_G": "Dhc",
+        "g6_H": "EhEG",
+        "error": "BudgetExhaustedError: node budget 40 exhausted",
+    }
+
+
 # ---------------------------------------------------------------------------
 # remark
 # ---------------------------------------------------------------------------
