@@ -333,24 +333,28 @@ def _format_pair_human(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit_records(args, reports) -> None:
+    """Emit the reports as CSV under its header, or as JSONL, per --format."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(pair_report_row(r) for r in reports)
+        text = buf.getvalue()
+    else:
+        records = (pair_report_dict(r, args.with_trace) for r in reports)
+        text = "".join(json.dumps(rec) + "\n" for rec in records)
+    _emit(args, text)
 
 
 def _cmd_check(args) -> int:
     g = resolve_graph(args.graph_g, args.seed)
     h = resolve_graph(args.graph_h, args.seed)
     report = check_pair(g, h, _limits(args))
-    if args.format == "csv":
-        _emit(args, _csv_text([pair_report_row(report)]))
-    elif args.format == "jsonl":
-        _emit(args, json.dumps(pair_report_dict(report, args.with_trace)) + "\n")
-    else:
+    if args.format == "human":
         _emit(args, _format_pair_human(report))
+    else:
+        _emit_records(args, [report])
     return 1 if report.violated else 0
 
 
@@ -437,13 +441,8 @@ def _cmd_sweep(args) -> int:
     pairs = all_pairs(graphs) if args.pairs == "all" else zip_pairs(graphs)
     result = sweep(pairs, _limits(args), jobs=args.jobs)
     reports = result.reports
-    if args.format == "csv":
-        _emit(args, _csv_text([pair_report_row(r) for r in reports]))
-    elif args.format == "jsonl":
-        body = "".join(
-            json.dumps(pair_report_dict(r, args.with_trace)) + "\n" for r in reports
-        )
-        _emit(args, body)
+    if args.format != "human":
+        _emit_records(args, reports)
     else:
         lines = []
         for r in reports:
@@ -455,9 +454,7 @@ def _cmd_sweep(args) -> int:
                     f" bound_new={r.bound_new} slack={r.slack_new}"
                     f" trace_ok={'true' if r.trace_ok else 'false'}"
                 )
-        slack_text = ", ".join(
-            f"{s}:{c}" for s, c in sorted(result.slack_counts.items())
-        )
+        slack_text = ", ".join(f"{s}:{c}" for s, c in result.slack_counts.items())
         lines.append(
             f"pairs={len(reports)} errors={len(result.errors)}"
             f" violations={len(result.violations)}"

@@ -5,16 +5,21 @@ lower bounds for the product, and a fully verified trace of the counting
 argument on a solver-found minimum dominating set.  The bounds reported:
 
   bound_conjecture  gammaG * gammaH                      (open conjecture)
-  bound_new         ceil((gammaG*gammaH + max(gG, gH)) / 2)
+  bound_CS          ceil(gammaG*gammaH / 2)
   bound_ST_half     ceil((gammaG*gammaH + min(gG, gH)) / 2)
   bound_ST_body     ceil(gammaG*gammaH / 2) + min(gG, gH)
-  bound_CS          ceil(gammaG*gammaH / 2)
+  bound_new         ceil((gammaG*gammaH + max(gG, gH)) / 2)
 
-bound_ST_half is the form Suen and Tarr prove.  bound_ST_body is not a lower
-bound: it exceeds gammaProduct on 19 of the 496 pairs of the sweep over
-connected graphs on <= 5 vertices (K1 x K1 has gamma 1 and bound_ST_body 2).
-It is kept only as a CSV column until the benchmark reference is
-regenerated.  Ceilings are taken because domination numbers are integers.
+bound_CS, bound_ST_half (the form Suen and Tarr prove) and bound_new are
+proven.  bound_ST_body is not a lower bound: it exceeds gammaProduct on 19 of
+the 496 pairs of the sweep over connected graphs on <= 5 vertices (K1 x K1
+has gamma 1 and bound_ST_body 2).  It stays a CSV column, a JSONL key and a
+human field until the benchmark reference is regenerated.  Ceilings are taken
+because domination numbers are integers.
+
+A report's schema is `PairReport`'s field order.  A JSONL record is every
+field but the verdict, in order; a CSV row also drops bound_conjecture and
+error, and heads gammaProduct `gammaProd`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 from .errors import BadParameterError, TooLargeError
@@ -51,28 +57,13 @@ from .trace import (
     verify_trace,
 )
 
-CSV_COLUMNS = [
-    "g6_G",
-    "g6_H",
-    "gammaG",
-    "gammaH",
-    "gammaProd",
-    "bound_CS",
-    "bound_ST_half",
-    "bound_ST_body",
-    "bound_new",
-    "slack_new",
-    "trace_ok",
-]
-
-
 def _ceil_half(x: int) -> int:
     return -(-x // 2)
 
 
 @dataclass(frozen=True)
 class PairReport:
-    """All computed facts about one factor pair.
+    """All computed facts about one factor pair, in report order.
 
     When a pair fails (budget, size guard, ...), `error` holds the message
     and every numeric field is None; sweeps record such rows and move on.
@@ -84,14 +75,14 @@ class PairReport:
     gammaH: int | None = None
     gammaProduct: int | None = None
     bound_conjecture: int | None = None
-    bound_new: int | None = None
+    bound_CS: int | None = None
     bound_ST_half: int | None = None
     bound_ST_body: int | None = None
-    bound_CS: int | None = None
+    bound_new: int | None = None
     slack_new: int | None = None
     trace_ok: bool | None = None
-    verdict: TraceVerdict | None = None
     error: str | None = None
+    verdict: TraceVerdict | None = None
 
     @property
     def violated(self) -> bool:
@@ -128,7 +119,7 @@ class SweepResult:
     violations: tuple[int, ...]  # indices into reports
     errors: tuple[int, ...]
     min_slack: int | None
-    slack_counts: dict[int, int]
+    slack_counts: dict[int, int]  # pairs per slack_new, by increasing slack
 
     @property
     def ok(self) -> bool:
@@ -181,10 +172,10 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
         gammaH=gh,
         gammaProduct=rprod.gamma,
         bound_conjecture=prod_term,
-        bound_new=bound_new,
+        bound_CS=_ceil_half(prod_term),
         bound_ST_half=_ceil_half(prod_term + lo),
         bound_ST_body=_ceil_half(prod_term) + lo,
-        bound_CS=_ceil_half(prod_term),
+        bound_new=bound_new,
         slack_new=rprod.gamma - bound_new,
         trace_ok=verdict.all_passed,
         verdict=verdict,
@@ -322,16 +313,13 @@ def sweep(
             reports = list(pool.map(_checked_pair, work, chunksize=chunk))
     violations = tuple(i for i, r in enumerate(reports) if r.violated)
     errors = tuple(i for i, r in enumerate(reports) if r.error is not None)
-    slacks = [r.slack_new for r in reports if r.slack_new is not None]
-    counts: dict[int, int] = {}
-    for s in sorted(slacks):
-        counts[s] = counts.get(s, 0) + 1
+    slacks = Counter(r.slack_new for r in reports if r.slack_new is not None)
     return SweepResult(
         reports=tuple(reports),
         violations=violations,
         errors=errors,
-        min_slack=min(slacks) if slacks else None,
-        slack_counts=counts,
+        min_slack=min(slacks, default=None),
+        slack_counts=dict(sorted(slacks.items())),
     )
 
 
@@ -443,48 +431,27 @@ def remark_search(
 # ---------------------------------------------------------------------------
 
 
+# Read once at import: `fields()` per report would cost half a row again.
+_JSONL_FIELDS = tuple(f.name for f in fields(PairReport) if f.name != "verdict")
+_CSV_FIELDS = tuple(f for f in _JSONL_FIELDS if f not in ("bound_conjecture", "error"))
+CSV_COLUMNS = ["gammaProd" if f == "gammaProduct" else f for f in _CSV_FIELDS]
+
+
+def _cell(x) -> str:
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return "" if x is None else str(x)
+
+
 def pair_report_row(r: PairReport) -> list[str]:
     """CSV row in CSV_COLUMNS order; errored pairs leave numeric cells blank."""
-
-    def cell(x) -> str:
-        if x is None:
-            return ""
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        return str(x)
-
-    return [
-        r.g6_G,
-        r.g6_H,
-        cell(r.gammaG),
-        cell(r.gammaH),
-        cell(r.gammaProduct),
-        cell(r.bound_CS),
-        cell(r.bound_ST_half),
-        cell(r.bound_ST_body),
-        cell(r.bound_new),
-        cell(r.slack_new),
-        cell(r.trace_ok),
-    ]
+    return [_cell(getattr(r, f)) for f in _CSV_FIELDS]
 
 
 def pair_report_dict(r: PairReport, with_verdict: bool = False) -> dict:
-    """JSON-ready dict; verdict checks are embedded when requested."""
-    out = {
-        "g6_G": r.g6_G,
-        "g6_H": r.g6_H,
-        "gammaG": r.gammaG,
-        "gammaH": r.gammaH,
-        "gammaProduct": r.gammaProduct,
-        "bound_conjecture": r.bound_conjecture,
-        "bound_CS": r.bound_CS,
-        "bound_ST_half": r.bound_ST_half,
-        "bound_ST_body": r.bound_ST_body,
-        "bound_new": r.bound_new,
-        "slack_new": r.slack_new,
-        "trace_ok": r.trace_ok,
-        "error": r.error,
-    }
+    """JSON-ready dict of every field but the verdict, in field order; the
+    verdict's checks are embedded when requested."""
+    out = {f: getattr(r, f) for f in _JSONL_FIELDS}
     if with_verdict and r.verdict is not None:
         out["trace_checks"] = [check_to_dict(c) for c in r.verdict.checks]
         out["trace_all_passed"] = r.verdict.all_passed

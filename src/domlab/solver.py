@@ -385,7 +385,10 @@ def gamma_oracle(g: Graph, guard: int = DEFAULT_ORACLE_GUARD) -> DominationResul
     The witness is the lexicographically first minimum dominating set, which
     `itertools.combinations` yields for free.  Refuses graphs with more than
     `guard` vertices; raise the guard explicitly if you mean it.
+    BadParameterError when `guard` is less than 1.
     """
+    if guard < 1:
+        raise BadParameterError(f"oracle guard must be at least 1, got {guard}")
     if g.n > guard:
         raise TooLargeError(
             f"gamma_oracle guard is {guard} vertices, graph has {g.n}"

@@ -44,7 +44,7 @@ is read with `verdict.check(name)`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import (
@@ -546,15 +546,8 @@ def remark_trace(
 
 
 def check_to_dict(c: CheckResult) -> dict:
-    return {
-        "name": c.name,
-        "passed": c.passed,
-        "statement": c.statement,
-        "lhs": c.lhs,
-        "rhs": c.rhs,
-        "rhs2": c.rhs2,
-        "violations": list(c.violations),
-    }
+    """CheckResult's fields in order, with the violations as a list."""
+    return {**asdict(c), "violations": list(c.violations)}
 
 
 def format_check(c: CheckResult) -> str:

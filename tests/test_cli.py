@@ -58,6 +58,15 @@ def test_gamma_oracle_method_agrees(capsys):
     assert json.loads(bb_out)["gamma"] == json.loads(oracle_out)["gamma"] == 3
 
 
+def test_gamma_oracle_guard_below_one_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "gamma", "path:5", "--method", "oracle", "--oracle-guard", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "domlab: oracle guard must be at least 1, got -1\n"
+
+
 def test_gamma_accepts_raw_graph6(capsys):
     code, out, _ = run(capsys, "gamma", "A_", "--format", "jsonl")
     assert code == 0

@@ -215,6 +215,12 @@ def test_oracle_guard():
     assert gamma_oracle(random_gnp(17, 0.2, seed=1), guard=17).gamma >= 1
 
 
+@pytest.mark.parametrize("guard", [0, -1])
+def test_oracle_guard_below_one_is_a_bad_parameter(guard):
+    with pytest.raises(BadParameterError, match=f"at least 1, got {guard}"):
+        gamma_oracle(complete(1), guard=guard)
+
+
 # ---------------------------------------------------------------------------
 # Limits and budgets
 # ---------------------------------------------------------------------------
