@@ -449,8 +449,7 @@ def pair_report_row(r: PairReport) -> list[str]:
 
 
 def pair_report_dict(r: PairReport, with_verdict: bool = False) -> dict:
-    """JSON-ready dict of every field but the verdict, in field order; the
-    verdict's checks are embedded when requested."""
+    """Every field but the verdict, in order; with_verdict adds its checks."""
     out = {f: getattr(r, f) for f in _JSONL_FIELDS}
     if with_verdict and r.verdict is not None:
         out["trace_checks"] = [check_to_dict(c) for c in r.verdict.checks]

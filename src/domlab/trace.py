@@ -44,7 +44,7 @@ is read with `verdict.check(name)`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -547,7 +547,8 @@ def remark_trace(
 
 def check_to_dict(c: CheckResult) -> dict:
     """CheckResult's fields in order, with the violations as a list."""
-    return {**asdict(c), "violations": list(c.violations)}
+    # vars() keeps declaration order; `asdict` would deep-copy at ten times the cost.
+    return {**vars(c), "violations": list(c.violations)}
 
 
 def format_check(c: CheckResult) -> str:
