@@ -100,6 +100,26 @@ def naive_gamma_restricted(
     return None
 
 
+def naive_greedy_cover(
+    g: Graph, candidates: Iterable[int]
+) -> tuple[int, ...] | None:
+    """The max-coverage greedy dominating set drawn from `candidates`, sorted:
+    each round takes the candidate that covers the most vertices not yet
+    covered, the lowest id on ties.  None when the candidates cannot
+    dominate g."""
+    closed = naive_closed_neighborhoods(g)
+    pool = sorted(candidates)
+    uncovered = set(range(g.n))
+    chosen = []
+    while uncovered:
+        best = max(pool, key=lambda v: len(closed[v] & uncovered), default=None)
+        if best is None or not closed[best] & uncovered:
+            return None
+        chosen.append(best)
+        uncovered -= closed[best]
+    return tuple(sorted(chosen))
+
+
 def naive_cover_size(
     g: Graph, targets: set[int], candidates: Iterable[int]
 ) -> int | None:

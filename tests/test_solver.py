@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import json
 import random
@@ -36,13 +37,15 @@ from domlab import (
     star,
     vertex_orbits,
 )
-from domlab.solver import _BranchAndBound
+import domlab.harness
+from domlab.solver import _BranchAndBound, _greedy_cover
 from helpers import (
     milp_gamma,
     naive_closed_neighborhoods,
     naive_cover_size,
     naive_gamma,
     naive_gamma_restricted,
+    naive_greedy_cover,
     naive_minimum_dominating_sets,
     random_dominating_set,
     random_graph,
@@ -207,6 +210,80 @@ def test_complete_agrees_with_brute_force_below_the_root():
             picks = VertexSet(g.n, found).members
             assert set(picks) <= set(allowed) and len(picks) <= slots
             assert targets <= set().union(*(closed[v] for v in picks))
+
+
+def test_complete_finds_the_same_sets():
+    # The set `complete` returns from 300 seeded nodes, pinned by digest:
+    # which set a depth-first search finds first depends on its child order
+    # and its cuts, which the node-count pins see only when the count moves.
+    # Two graphs in five are products of connected graphs, whose orbits are
+    # not trivial, and two nodes in five are root calls (nothing covered,
+    # every vertex allowed), where the root orbit rule runs.  Slots go one
+    # below, at and one above the brute-force minimum, plus one at random.
+    rng = random.Random(1515)
+    connected = [f for n in range(1, 5) for f in enumerate_connected_graphs(n)]
+    digest = hashlib.sha256()
+    for _ in range(300):
+        if rng.random() < 0.4:
+            a = rng.choice(connected)
+            b = rng.choice([h for h in connected if a.n * h.n <= 9])
+            g = cartesian_product(a, b).graph
+        else:
+            g = random_graph(rng, max_n=9)
+        root = rng.random() < 0.4
+        covered = [] if root else [v for v in range(g.n) if rng.random() < 0.3]
+        allowed = [v for v in range(g.n) if root or rng.random() < 0.7]
+        targets = set(range(g.n)) - set(covered)
+        best = naive_cover_size(g, targets, allowed)
+        top = g.n if best is None else best
+        covered_mask = VertexSet.from_members(g.n, covered).mask
+        allowed_mask = VertexSet.from_members(g.n, allowed).mask
+        tries = {max(top - 1, 0), top, min(top + 1, g.n), rng.randint(0, g.n)}
+        for slots in sorted(tries):
+            for symmetry in (None, root_symmetry(g)):
+                engine = _BranchAndBound(g, 10**6, symmetry)
+                found = engine.complete(covered_mask, allowed_mask, slots)
+                digest.update(f"{slots} {found}\n".encode())
+    assert digest.hexdigest() == (
+        "43901e22a1b8b4e74d16832c6dc56569d416b48859123c864f8a7919d4c5f620"
+    )
+
+
+def test_greedy_start_matches_a_naive_greedy():
+    # The set minimize starts from, on random candidate masks, against a
+    # set-based greedy with the same lowest-id tie-break; an empty mask or
+    # one that leaves a vertex undominated gives None.
+    rng = random.Random(1616)
+    undominated = 0
+    for _ in range(200):
+        g = random_graph(rng, max_n=10)
+        some = [v for v in range(g.n) if rng.random() < 0.6]
+        for allowed in ([], some, range(g.n)):
+            mask = VertexSet.from_members(g.n, allowed).mask
+            got = _greedy_cover(g.closed, g.full_mask, mask)
+            want = naive_greedy_cover(g, allowed)
+            assert (None if got is None else VertexSet(g.n, got).members) == want
+            undominated += want is None
+    assert undominated > 200  # the 200 empty masks, and some others
+
+
+def test_greedy_set_is_the_product_witness_when_it_is_minimum():
+    # minimize keeps its greedy start until `complete` finds a smaller set,
+    # so with lexmin=False a greedy set of size gamma is the witness.  It is
+    # on 424 of the 496 products of the <= 5 sweep.
+    connected = [f for n in range(1, 6) for f in enumerate_connected_graphs(n)]
+    optimal = 0
+    for i, a in enumerate(connected):
+        for b in connected[i:]:
+            g = cartesian_product(a, b).graph
+            greedy = naive_greedy_cover(g, range(g.n))
+            r = gamma_bb(
+                g, lexmin=False, symmetry=domlab.harness._product_classes(a, b)
+            )
+            if len(greedy) == r.gamma:
+                assert r.witness.members == greedy
+                optimal += 1
+    assert optimal == 424
 
 
 def test_oracle_guard():
