@@ -16,16 +16,16 @@ that covers what `covered` leaves, or reports that none exists.
   * a counting bound (the classic gamma >= n / (Delta + 1); Haynes,
     Hedetniemi and Slater, "Fundamentals of Domination in Graphs", 1998):
     s picks cover at most `reach[s]`, the sum of the s largest closed
-    neighbourhood sizes.  A child is pushed only while its fresh coverage
-    leaves at most `reach[slots - 1]` vertices for the other picks;
-    children come by descending fresh coverage, so the first that fails
-    ends the loop.  Every pushed child meets the bound, so the node test
-    (more than `reach[slots]` uncovered: dead before the walk) fires only
-    on the first node of a call, where it saves the walk.  Both cuts drop
-    only subtrees that hold no solution, so the search finds the same first
-    set.  `reach` reads only the graph's degrees, never a factor's gamma or
-    a bound under test, so a search that checks such a bound does not
-    assume it;
+    neighbourhood sizes.  A child is kept only when its fresh coverage
+    leaves at most `reach[slots - 1]` vertices for the other picks, and
+    `_children` drops the others before it sorts, so a child that cannot
+    finish is never sorted or compared with its siblings.  Every pushed
+    child meets the bound, so the node test (more than `reach[slots]`
+    uncovered: dead before the walk) fires only on the first node of a
+    call, where it saves the walk.  Both cuts drop only subtrees that hold
+    no solution, so the search finds the same first set.  `reach` reads
+    only the graph's degrees, never a factor's gamma or a bound under test,
+    so a search that checks such a bound does not assume it;
   * children are eligible dominators, ordered by descending fresh coverage
     with index as the tie-break; an explored child leaves the eligible set
     of its later siblings (its own subtree covered every solution with it);
@@ -36,6 +36,18 @@ that covers what `covered` leaves, or reports that none exists.
     solution that uses it into one the sibling's subtree covers.  The
     ordering puts every dominating sibling first (equal sets: the earlier
     one is kept);
+  * the last pick has a closed form.  At one slot the counting bound keeps
+    a child only when its fresh coverage is everything left (`reach[0]` is
+    0), so every kept child has the same fresh set and each after the
+    first, the lowest index, is dominated.  A vertex that covers the rest
+    dominates every uncovered vertex, so that first child is the lowest
+    eligible dominator of the lowest uncovered vertex whose closed
+    neighbourhood holds the rest.  `complete` returns it at once and
+    charges the one node the child would take; with no such vertex the
+    node is dead.  The walk has nothing to add: a node it finds dead has
+    no such vertex either.  Nor has the orbit rule (below), which acts only
+    on later siblings.  So the nodes visited, their count and the set found
+    are those of the general step;
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
@@ -47,7 +59,8 @@ product's classes from stabilizers in its factors).  The rule runs only in
 a call over every vertex (nothing covered, every vertex allowed): at each
 node that expands, once child c has been explored or skipped as dominated,
 c's whole class leaves the eligible set of the later siblings, and a
-sibling that has left this way is not pushed.  c's own subtree keeps c's
+sibling that has left this way is not pushed (a node asks for its classes
+only once a child survives the counting bound).  c's own subtree keeps c's
 class-mates, since a solution may hold c and a class-mate.  Call a
 solution of a node a set of at most `slots` further picks that covers what
 the picks leave, and let the node's group be the one its classes come
@@ -97,8 +110,11 @@ budget.  It picks vertices in ascending order, so it yields the size-gamma
 dominating sets in the order `itertools.combinations` would test them, but
 it drops a branch as soon as the vertices not yet passed over cannot finish
 a cover: `_scan` finds the node dead, or the next pick would come after the
-last eligible dominator of some uncovered vertex (the walk's second answer)
-or leave too few vertices to fill the slots.
+last eligible dominator of some uncovered vertex or leave too few vertices
+to fill the slots.  The eligible vertices are always those from the next
+pick position on, so a vertex's last eligible dominator is its highest
+dominator outright: a table built once per call (`upto[t]`, the vertices
+whose highest dominator is at most t) gives that bound without the walk.
 """
 
 from __future__ import annotations
@@ -151,35 +167,35 @@ class SolverLimits:
 
 def _greedy_cover(closed: tuple[int, ...], full: int, allowed: int) -> int | None:
     """Max-coverage greedy dominating set from `allowed`, or None if impossible.
-    Ties go to the lowest id."""
-    cands = [v for v in range(len(closed)) if allowed >> v & 1]
-    rows = [closed[v] for v in cands]
+    Each round is one pass over the candidates; ties go to the lowest id."""
+    cands = [(v, closed[v]) for v in range(len(closed)) if allowed >> v & 1]
     covered = 0
     chosen = 0
     while covered != full:
-        gains = [(row & ~covered).bit_count() for row in rows]
-        best = max(gains, default=0)
+        best = 0
+        for v, row in cands:
+            gain = (row & ~covered).bit_count()
+            if gain > best:
+                best = gain
+                pick = v
         if best == 0:
             return None
-        v = cands[gains.index(best)]
-        chosen |= 1 << v
-        covered |= closed[v]
+        chosen |= 1 << pick
+        covered |= closed[pick]
     return chosen
 
 
 def _scan(
     closed: tuple[int, ...], full: int, covered: int, allowed: int, slots: int
-) -> tuple[int, int] | None:
-    """Walk a search node's uncovered vertices once.  None when the node is
+) -> int:
+    """Walk a search node's uncovered vertices once.  -1 when the node is
     dead: an uncovered vertex has no eligible dominator, or the packing bound
-    (module docstring) exceeds `slots`.  Else `(branch, last)`: the uncovered
-    vertex with the fewest eligible dominators, lowest id on ties, and the
-    smallest highest eligible dominator of an uncovered vertex."""
+    (module docstring) exceeds `slots`.  Else the vertex to branch on: the
+    uncovered vertex with the fewest eligible dominators, lowest id on ties."""
     count = 0
     used = 0
     branch = -1
     fewest = 1 << 30
-    last = full.bit_length()
     m = full & ~covered
     while m:
         bit = m & -m
@@ -187,20 +203,17 @@ def _scan(
         m ^= bit
         dom = closed[w] & allowed
         if dom == 0:
-            return None
+            return -1
         if dom & used == 0:
             count += 1
             if count > slots:
-                return None
+                return -1
             used |= dom
         k = dom.bit_count()
         if k < fewest:
             fewest = k
             branch = w
-        h = dom.bit_length() - 1
-        if h < last:
-            last = h
-    return branch, last
+    return branch
 
 
 class _BranchAndBound:
@@ -233,11 +246,13 @@ class _BranchAndBound:
             )
 
     def _children(
-        self, w: int, covered: int, allowed: int
+        self, w: int, covered: int, allowed: int, least: int
     ) -> list[tuple[int, int, int]]:
-        """`(-k, c, fresh)` for each eligible dominator c of w, where `fresh`
-        is what c would newly cover and k its size: most fresh coverage
-        first, index on ties."""
+        """`(-k, c, fresh)` for each eligible dominator c of w whose fresh
+        coverage `fresh` (what c would newly cover, k its size) holds at
+        least `least` vertices: most fresh coverage first, index on ties.
+        The cut comes before the sort, so a child that cannot finish is
+        never sorted."""
         closed = self.closed
         cands = []
         m = closed[w] & allowed
@@ -246,7 +261,9 @@ class _BranchAndBound:
             c = bit.bit_length() - 1
             m ^= bit
             fresh = closed[c] & ~covered
-            cands.append((-fresh.bit_count(), c, fresh))
+            k = fresh.bit_count()
+            if k >= least:
+                cands.append((-k, c, fresh))
         cands.sort()
         return cands
 
@@ -276,22 +293,38 @@ class _BranchAndBound:
             self._tick()
             if covered == full:
                 return picks
-            uncovered = (full & ~covered).bit_count()
+            rest = full & ~covered
+            uncovered = rest.bit_count()
             if uncovered > reach[slots]:
                 continue
-            scan = _scan(closed, full, covered, allowed, slots)
-            if scan is None:
+            if slots == 1:
+                # The last pick must cover the rest on its own (module
+                # docstring): the lowest such dominator of any uncovered
+                # vertex is the one child the general step would push, and
+                # the tick is that child's node.
+                m = closed[(rest & -rest).bit_length() - 1] & allowed
+                while m:
+                    bit = m & -m
+                    if rest & ~closed[bit.bit_length() - 1] == 0:
+                        self._tick()
+                        return picks | bit
+                    m ^= bit
                 continue
-            # -k <= spare means k >= uncovered - reach[slots - 1].
-            spare = reach[slots - 1] - uncovered
+            w = _scan(closed, full, covered, allowed, slots)
+            if w < 0:
+                continue
+            # A child must leave at most reach[slots - 1] vertices uncovered.
+            children = self._children(
+                w, covered, allowed, uncovered - reach[slots - 1]
+            )
+            if not children:
+                continue
             classes = symmetry(picks) if symmetry else None
             if classes is None:
                 symmetry = None
-            children = []
+            pushed = []
             kept = []
-            for neg_k, c, fresh in self._children(scan[0], covered, allowed):
-                if neg_k > spare:
-                    break  # this child and every later one cannot finish
+            for _, c, fresh in children:
                 if not allowed >> c & 1:
                     continue  # left with an earlier class-mate
                 allowed &= ~(1 << c)
@@ -300,12 +333,12 @@ class _BranchAndBound:
                         break
                 else:
                     kept.append(fresh)
-                    children.append(
+                    pushed.append(
                         (covered | fresh, allowed, slots - 1, picks | 1 << c, symmetry)
                     )
                 if classes:
                     allowed &= ~classes(c)
-            stack.extend(reversed(children))
+            stack.extend(reversed(pushed))
         return None
 
     def lexmin_witness(self, candidates: int) -> int:
@@ -346,6 +379,13 @@ class _BranchAndBound:
         closed = self.closed
         full = self.full
         n = self.n
+        # upto[t]: the vertices whose highest dominator is at most t.  The
+        # eligible set is always a suffix, so that is the highest eligible
+        # one whenever the vertex has any.
+        upto = [0] * n
+        for v, row in enumerate(closed):
+            upto[row.bit_length() - 1] |= 1 << v
+        upto = list(accumulate(upto, int.__or__))
         stack = [(0, 0, size, 0)]
         while stack:
             covered, i, slots, picks = stack.pop()
@@ -354,12 +394,18 @@ class _BranchAndBound:
                 if covered == full:
                     yield picks
                 continue
-            scan = _scan(closed, full, covered, full & ~((1 << i) - 1), slots)
-            if scan is None:
+            # `_scan` answers -1 on a dead node, and also when nothing is
+            # left uncovered, which is not dead here.
+            rest = full & ~covered
+            eligible = full & ~((1 << i) - 1)
+            if rest and _scan(closed, full, covered, eligible, slots) < 0:
                 continue
             # Picks ascend, so the next one must leave room for the rest and
-            # must not pass any uncovered vertex's highest dominator.
-            last = min(n - slots, scan[1])
+            # must not pass any uncovered vertex's highest dominator.  Every
+            # uncovered vertex has one at i or above, or the node is dead.
+            last = i
+            while last < n - slots and not upto[last] & rest:
+                last += 1
             stack.extend(
                 (covered | closed[v], v + 1, slots - 1, picks | 1 << v)
                 for v in range(last, i - 1, -1)

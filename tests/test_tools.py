@@ -1,0 +1,29 @@
+"""The developer tools under tools/."""
+
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+
+
+def test_paired_timing_runs_the_repo_against_itself():
+    # Two copies of one checkout, loaded side by side, answer every
+    # operation alike; each round prints both times and their ratio.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_timing.py"), str(ROOT),
+         str(ROOT), "--workload", "sweep", "--seed", "1", "--ops", "2",
+         "--rounds", "2"],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 3
+    for r, line in enumerate(out[:2], 1):
+        assert re.fullmatch(
+            rf"round {r}: 2 ops, base \d+\.\d{{3}} s, new \d+\.\d{{3}} s, "
+            r"ratio \d+\.\d{3}",
+            line,
+        ), line
+    assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])
