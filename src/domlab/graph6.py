@@ -1,14 +1,17 @@
-"""Short-form graph6 codec (n <= 62) and a plain edge-list text format.
+"""Short-form graph6 codec (n <= 62) and a plain edge-list writer.
 
 graph6 packs the upper triangle of the adjacency matrix in column order,
 six bits per printable byte (offset 63).  The long form for n >= 63 is not
 supported; inputs using it are rejected with a clear error.
+
+The edge-list format ('n m', then one 'u v' line per edge) is written for
+`domlab product --format edges`; domlab does not read it.
 """
 
 from __future__ import annotations
 
 from .errors import BadParameterError, EmptyGraphError, Graph6Error
-from .graphs import MAX_PRODUCT_VERTICES, Graph, make_graph
+from .graphs import Graph, make_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -114,43 +117,6 @@ def read_graph6_file(path: str) -> list[Graph]:
             f"non-ASCII byte {data[exc.start]:#04x} in {path!r}", exc.start
         ) from None
     return parse_graph6_lines(text)
-
-
-def parse_edge_list(text: str) -> Graph:
-    """Decode the plain text format: a 'n m' header line, then m 'u v' lines.
-
-    n may be at most MAX_PRODUCT_VERTICES, the largest product the library
-    builds, so a bad header cannot ask for unbounded memory.
-    """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise BadParameterError("empty edge-list text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise BadParameterError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise BadParameterError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    if n > MAX_PRODUCT_VERTICES:
-        raise BadParameterError(
-            f"edge-list header declares {n} vertices, above the limit of"
-            f" {MAX_PRODUCT_VERTICES}"
-        )
-    if len(lines) - 1 != m:
-        raise BadParameterError(
-            f"edge-list header promises {m} edges, found {len(lines) - 1} lines"
-        )
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise BadParameterError(f"edge line must be 'u v', got {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise BadParameterError(f"edge line must be 'u v', got {ln!r}")
-    return make_graph(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -37,8 +37,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
 class VertexSet:
     """Immutable set of vertex ids drawn from a fixed universe 0..universe-1.
 
-    Backed by a single int bitmask.  Set algebra only combines sets over the
-    same universe; mixing universes raises BadVertexError rather than
+    Backed by a single int bitmask, which the solver and the trace use
+    directly.  `issubset` across universes raises BadVertexError rather than
     silently reinterpreting bits.
     """
 
@@ -62,10 +62,6 @@ class VertexSet:
         return cls(universe, mask)
 
     @classmethod
-    def empty(cls, universe: int) -> "VertexSet":
-        return cls(universe, 0)
-
-    @classmethod
     def full(cls, universe: int) -> "VertexSet":
         return cls(universe, (1 << universe) - 1)
 
@@ -73,37 +69,17 @@ class VertexSet:
     def members(self) -> tuple[int, ...]:
         return tuple(_iter_bits(self.mask))
 
-    def add(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.universe:
-            raise BadVertexError(f"vertex {v} outside 0..{self.universe - 1}")
-        return VertexSet(self.universe, self.mask | (1 << v))
-
     def discard(self, v: int) -> "VertexSet":
         if not 0 <= v < self.universe:
             raise BadVertexError(f"vertex {v} outside 0..{self.universe - 1}")
         return VertexSet(self.universe, self.mask & ~(1 << v))
 
     def issubset(self, other: "VertexSet") -> bool:
-        self._check_same_universe(other)
-        return self.mask & ~other.mask == 0
-
-    def _check_same_universe(self, other: "VertexSet") -> None:
         if self.universe != other.universe:
             raise BadVertexError(
                 f"universe mismatch: {self.universe} vs {other.universe}"
             )
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_universe(other)
-        return VertexSet(self.universe, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_universe(other)
-        return VertexSet(self.universe, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_universe(other)
-        return VertexSet(self.universe, self.mask & ~other.mask)
+        return self.mask & ~other.mask == 0
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.universe and (self.mask >> v) & 1 == 1
@@ -159,19 +135,6 @@ class Graph:
         self.m = sum(row.bit_count() for row in adj) // 2
         self.name = name
 
-    def degree(self, v: int) -> int:
-        _check_vertex(self, v)
-        return self.adj[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        _check_vertex(self, u)
-        _check_vertex(self, v)
-        return (self.adj[u] >> v) & 1 == 1
-
-    def neighbors(self, v: int) -> VertexSet:
-        _check_vertex(self, v)
-        return VertexSet(self.n, self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):
@@ -225,7 +188,7 @@ def _raise_first_bad_row(n: int, adj: tuple[int, ...]) -> None:
 
 
 class ProductGraph:
-    """A Cartesian product graph plus the (u, v) <-> id bookkeeping.
+    """A Cartesian product graph and its factor orders.
 
     `graph` is the product itself; `n_g` and `n_h` are the factor orders.
     Vertex (u, v) has id u * n_h + v.
@@ -242,25 +205,8 @@ class ProductGraph:
         self.n_g = n_g
         self.n_h = n_h
 
-    def index(self, u: int, v: int) -> int:
-        if not 0 <= u < self.n_g:
-            raise BadVertexError(f"first-factor vertex {u} outside 0..{self.n_g - 1}")
-        if not 0 <= v < self.n_h:
-            raise BadVertexError(f"second-factor vertex {v} outside 0..{self.n_h - 1}")
-        return u * self.n_h + v
-
-    def pair(self, pid: int) -> tuple[int, int]:
-        if not 0 <= pid < self.graph.n:
-            raise BadVertexError(f"product vertex {pid} outside 0..{self.graph.n - 1}")
-        return divmod(pid, self.n_h)
-
     def __repr__(self) -> str:
         return f"ProductGraph(n_g={self.n_g}, n_h={self.n_h}, n={self.graph.n})"
-
-
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.n:
-        raise BadVertexError(f"vertex {v} outside 0..{g.n - 1}")
 
 
 def _check_universe(g: Graph, s: VertexSet) -> None:
@@ -287,12 +233,6 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], name: str | None = None
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, rows, name)
-
-
-def closed_neighborhood(g: Graph, v: int) -> VertexSet:
-    """N[v]: v together with its neighbors."""
-    _check_vertex(g, v)
-    return VertexSet(g.n, g.closed[v])
 
 
 def closed_neighborhood_set(g: Graph, s: VertexSet) -> VertexSet:

@@ -280,6 +280,7 @@ class _BranchAndBound:
     def complete(self, covered: int, allowed: int, slots: int) -> int | None:
         """Mask of at most `slots` picks from `allowed` that cover the rest
         of the graph beyond `covered`, or None if no such picks exist."""
+        slots = min(slots, self.n)  # n picks cover everything; reach ends at n
         closed = self.closed
         full = self.full
         reach = self.reach

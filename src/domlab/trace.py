@@ -194,12 +194,6 @@ def project_onto_G(pg: ProductGraph, s: VertexSet) -> VertexSet:
     return VertexSet(pg.n_g, _project(s.mask, pg.n_h)[0])
 
 
-def project_onto_H(pg: ProductGraph, s: VertexSet) -> VertexSet:
-    """Second-factor vertices that own at least one member of s."""
-    _check_universe(pg.graph, s)
-    return VertexSet(pg.n_h, _project(s.mask, pg.n_h)[1])
-
-
 def _resolve_gamma(
     graph: Graph, hint: DominationResult | None, limits: SolverLimits | None
 ) -> int:
@@ -264,9 +258,9 @@ def _assemble(
     for i, u in enumerate(U):
         # {u_i} x V(H) and pi_i x V(H) as product masks.
         S.append(VertexSet(N, dmask & _spread(1 << u, n_h) * h.full_mask))
-        T.append(project_onto_H(pg, S[-1]))
+        T.append(VertexSet(n_h, _project(S[-1].mask, n_h)[1]))
         Dparts.append(VertexSet(N, dmask & block_spread[i] * h.full_mask))
-        P.append(project_onto_H(pg, Dparts[-1]))
+        P.append(VertexSet(n_h, _project(Dparts[-1].mask, n_h)[1]))
 
     Qv = []
     C = set()

@@ -14,8 +14,6 @@ from collections.abc import Iterable
 from domlab import (
     Graph,
     VertexSet,
-    closed_neighborhood,
-    closed_neighborhood_set,
     make_graph,
     shrink_to_minimal,
     vertex_orbits,
@@ -35,16 +33,15 @@ def random_graph(rng: random.Random, max_n: int = 8, min_n: int = 1) -> Graph:
 
 def random_dominating_set(rng: random.Random, g: Graph) -> VertexSet:
     """A dominating set built from a random seed set plus greedy repair."""
-    s = VertexSet.from_members(
-        g.n, [v for v in range(g.n) if rng.random() < 0.4]
-    )
-    covered = closed_neighborhood_set(g, s)
+    closed = naive_closed_neighborhoods(g)
+    s = {v for v in range(g.n) if rng.random() < 0.4}
+    covered = set().union(*(closed[v] for v in s))
     for v in range(g.n):
         if v not in covered:
-            pick = rng.choice(sorted(closed_neighborhood(g, v).members))
-            s = s.add(pick)
-            covered = covered | closed_neighborhood(g, pick)
-    return s
+            pick = rng.choice(sorted(closed[v]))
+            s.add(pick)
+            covered |= closed[pick]
+    return VertexSet.from_members(g.n, s)
 
 
 def root_symmetry(g: Graph) -> Symmetry:
@@ -173,13 +170,17 @@ def naive_minimum_dominating_sets(g: Graph) -> list[tuple[int, ...]]:
 
 def naive_product_edges(g: Graph, h: Graph) -> set[tuple[int, int]]:
     """Cartesian product edges straight from the definition, as id pairs."""
+    ng = naive_closed_neighborhoods(g)
+    nh = naive_closed_neighborhoods(h)
     edges: set[tuple[int, int]] = set()
     for u1 in range(g.n):
         for v1 in range(h.n):
             for u2 in range(g.n):
                 for v2 in range(h.n):
-                    same_g = u1 == u2 and h.has_edge(v1, v2)
-                    same_h = v1 == v2 and g.has_edge(u1, u2)
+                    # A vertex is in its own closed neighbourhood; a < b
+                    # below drops that pair.
+                    same_g = u1 == u2 and v2 in nh[v1]
+                    same_h = v1 == v2 and u2 in ng[u1]
                     if same_g or same_h:
                         a = u1 * h.n + v1
                         b = u2 * h.n + v2

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from domlab import (
     MAX_PRODUCT_VERTICES,
     DomLabError,
-    parse_edge_list,
     parse_graph6,
     parse_graph6_lines,
 )
@@ -33,23 +32,6 @@ small_ints = st.integers(min_value=-5, max_value=50)
 non_digit_text = st.text(st.characters(exclude_categories=("Nd",)), max_size=4)
 # Family sizes: small ones that get built, and ones past the size guard.
 family_ints = st.one_of(small_ints, st.integers(MAX_PRODUCT_VERTICES + 1, 10**30))
-
-
-@st.composite
-def edge_list_text(draw):
-    """Near-miss edge lists: any header, then a few integer or junk lines."""
-    lines = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.integers(), st.integers()).map(lambda t: f"{t[0]} {t[1]}"),
-                st.text(max_size=8),
-            ),
-            max_size=6,
-        )
-    )
-    n = draw(st.one_of(small_ints, st.integers()))
-    m = draw(st.one_of(st.just(len(lines)), st.integers()))
-    return "\n".join([f"{n} {m}", *lines])
 
 
 @st.composite
@@ -87,12 +69,6 @@ def test_parse_graph6_raises_only_domlab_errors(text):
 @given(st.lists(graph6_text, max_size=4).map("\n".join))
 def test_parse_graph6_lines_raises_only_domlab_errors(text):
     _only_domlab_errors(parse_graph6_lines, text)
-
-
-@FUZZ
-@given(st.one_of(st.text(max_size=40), edge_list_text()))
-def test_parse_edge_list_raises_only_domlab_errors(text):
-    _only_domlab_errors(parse_edge_list, text)
 
 
 @FUZZ

@@ -212,6 +212,25 @@ def test_complete_agrees_with_brute_force_below_the_root():
             assert targets <= set().union(*(closed[v] for v in picks))
 
 
+def test_complete_takes_slots_above_n():
+    # n picks cover any graph, so more slots than vertices search as n do:
+    # the same cover from the same nodes, at the root and below it.
+    g = path(4)
+    engine = _BranchAndBound(g, 10**6)
+    assert engine.complete(0, g.full_mask, 6) == engine.complete(0, g.full_mask, 4)
+    rng = random.Random(1717)
+    for _ in range(100):
+        g = random_graph(rng, max_n=8)
+        root = rng.random() < 0.4
+        covered = 0 if root else rng.getrandbits(g.n)
+        allowed = g.full_mask if root else rng.getrandbits(g.n)
+        runs = []
+        for slots in (g.n, g.n + 1, g.n + 2, 2 * g.n + 5):
+            engine = _BranchAndBound(g, 10**6)
+            runs.append((engine.complete(covered, allowed, slots), engine.nodes))
+        assert runs == [runs[0]] * 4
+
+
 def test_complete_finds_the_same_sets():
     # The set `complete` returns from 300 seeded nodes, pinned by digest:
     # which set a depth-first search finds first depends on its child order

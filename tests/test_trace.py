@@ -30,13 +30,13 @@ from domlab import (
     make_graph,
     path,
     project_onto_G,
-    project_onto_H,
     remark_search,
     remark_trace,
     star,
     trace_report,
     verify_trace,
 )
+from domlab.graphs import _project
 from helpers import (
     random_graph,
     random_minimal_dominating_set,
@@ -119,7 +119,11 @@ def test_projections_match_pairs():
         )
         pairs = product_ids_to_pairs(h.n, s)
         assert set(project_onto_G(pg, s).members) == {u for u, _ in pairs}
-        assert set(project_onto_H(pg, s).members) == {v for _, v in pairs}
+        us, vs = _project(s.mask, h.n)
+        assert (set(VertexSet(g.n, us)), set(VertexSet(h.n, vs))) == (
+            {u for u, _ in pairs},
+            {v for _, v in pairs},
+        )
 
 
 # ---------------------------------------------------------------------------
