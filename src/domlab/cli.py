@@ -6,8 +6,8 @@ failed trace check, 2 on usage errors (including malformed graph input),
 
 Graph arguments accept a raw graph6 string, `@path` to a graph6 file (first
 graph is used), or a family spec: path:4, cycle:5, complete:3, star:5,
-grid:3x4, gnp:8:0.5:7 (an omitted gnp seed falls back to --seed).  Output
-for fixed inputs and seed is byte-identical across runs.
+grid:3x4, gnp:8:0.5:7 (N:P:SEED).  Output for fixed inputs is byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .graphs import (
 )
 from .harness import (
     CSV_COLUMNS,
+    DEFAULT_REMARK_CAP,
     all_pairs,
     check_pair,
     enumerate_connected_graphs,
@@ -51,7 +52,7 @@ from .harness import (
     sweep,
     zip_pairs,
 )
-from .solver import DEFAULT_ORACLE_GUARD, SolverLimits, gamma_bb, gamma_oracle
+from .solver import SolverLimits, gamma_bb
 from .trace import (
     TraceVerdict,
     build_trace,
@@ -70,7 +71,7 @@ _FAMILIES = {
 }
 
 
-def resolve_graph(spec: str, default_seed: int = 0) -> Graph:
+def resolve_graph(spec: str) -> Graph:
     """Turn a CLI graph argument into a Graph (see module docstring)."""
     if spec.startswith("@") and len(spec) > 1:
         graphs = read_graph6_file(spec[1:])
@@ -88,16 +89,10 @@ def resolve_graph(spec: str, default_seed: int = 0) -> Graph:
             return _family_graph(grid, m, n)
         if name == "gnp":
             parts = rest.split(":")
-            if len(parts) == 2:
-                n, p = parts
-                seed = default_seed
-            elif len(parts) == 3:
-                n, p, seed_text = parts
-                seed = _int_param(seed_text, spec)
-            else:
-                raise BadParameterError(
-                    f"gnp spec must be gnp:N:P or gnp:N:P:SEED, got {spec!r}"
-                )
+            if len(parts) != 3:
+                raise BadParameterError(f"gnp spec must be gnp:N:P:SEED, got {spec!r}")
+            n, p, seed_text = parts
+            seed = _int_param(seed_text, spec)
             try:
                 prob = float(p)
             except ValueError:
@@ -177,35 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"domlab {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    common.add_argument("--out", help="write output to this file instead of stdout")
+    solving = argparse.ArgumentParser(add_help=False, parents=[common])
+    solving.add_argument(
         "--node-budget",
         type=int,
         default=SolverLimits().node_budget,
         help="search node budget for the exact solver",
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="default seed for gnp graph specs"
-    )
-    common.add_argument("--out", help="write output to this file instead of stdout")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "gamma", parents=[common], help="domination number of one graph"
+        "gamma", parents=[solving], help="domination number of one graph"
     )
     p.add_argument("graph")
-    p.add_argument(
-        "--method",
-        choices=["bb", "oracle"],
-        default="bb",
-        help="bb: branch-and-bound (default); oracle: exhaustive reference",
-    )
-    p.add_argument(
-        "--oracle-guard",
-        type=int,
-        default=DEFAULT_ORACLE_GUARD,
-        help="largest n the oracle will accept",
-    )
     p.add_argument("--format", choices=["human", "jsonl"], default="human")
 
     p = sub.add_parser(
@@ -216,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["graph6", "edges"], default="graph6")
 
     p = sub.add_parser(
-        "check", parents=[common], help="bounds and trace verdict for one pair"
+        "check", parents=[solving], help="bounds and trace verdict for one pair"
     )
     p.add_argument("graph_g")
     p.add_argument("graph_h")
@@ -224,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-trace", action="store_true", help="embed trace checks in jsonl")
 
     p = sub.add_parser(
-        "trace", parents=[common], help="build and verify one counting-argument trace"
+        "trace",
+        parents=[solving],
+        help="build and verify one counting-argument trace",
     )
     p.add_argument("graph_g")
     p.add_argument("graph_h")
@@ -237,16 +220,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "remark",
-        parents=[common],
+        parents=[solving],
         help="search minimum dominating sets of the product for one with a"
         " minimal projection, and verify the sharpened chain on it",
     )
     p.add_argument("graph_g")
     p.add_argument("graph_h")
-    p.add_argument("--cap", type=int, default=100_000, help="enumeration cap")
+    p.add_argument(
+        "--cap", type=int, default=DEFAULT_REMARK_CAP, help="enumeration cap"
+    )
     p.add_argument("--format", choices=["human", "jsonl"], default="human")
 
-    p = sub.add_parser("sweep", parents=[common], help="check many pairs")
+    p = sub.add_parser("sweep", parents=[solving], help="check many pairs")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph6", help="file with one graph6 line per graph")
     src.add_argument("--family", help="family range, e.g. paths:1..6")
@@ -283,11 +268,8 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_gamma(args) -> int:
-    g = resolve_graph(args.graph, args.seed)
-    if args.method == "oracle":
-        result = gamma_oracle(g, args.oracle_guard)
-    else:
-        result = gamma_bb(g, _limits(args))
+    g = resolve_graph(args.graph)
+    result = gamma_bb(g, _limits(args))
     witness = ", ".join(str(v) for v in result.witness)
     if args.format == "jsonl":
         payload = {
@@ -309,8 +291,8 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    g = resolve_graph(args.graph_g, args.seed)
-    h = resolve_graph(args.graph_h, args.seed)
+    g = resolve_graph(args.graph_g)
+    h = resolve_graph(args.graph_h)
     pg = cartesian_product(g, h)
     if args.format == "edges":
         _emit(args, format_edge_list(pg.graph))
@@ -348,8 +330,8 @@ def _emit_records(args, reports) -> None:
 
 
 def _cmd_check(args) -> int:
-    g = resolve_graph(args.graph_g, args.seed)
-    h = resolve_graph(args.graph_h, args.seed)
+    g = resolve_graph(args.graph_g)
+    h = resolve_graph(args.graph_h)
     report = check_pair(g, h, _limits(args))
     if args.format == "human":
         _emit(args, _format_pair_human(report))
@@ -368,8 +350,8 @@ def _verdict_lines(verdict: TraceVerdict, *notes: str) -> list[str]:
 
 
 def _cmd_trace(args) -> int:
-    g = resolve_graph(args.graph_g, args.seed)
-    h = resolve_graph(args.graph_h, args.seed)
+    g = resolve_graph(args.graph_g)
+    h = resolve_graph(args.graph_h)
     limits = _limits(args)
     pg = cartesian_product(g, h)
     if args.dom_set:
@@ -399,8 +381,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_remark(args) -> int:
-    g = resolve_graph(args.graph_g, args.seed)
-    h = resolve_graph(args.graph_h, args.seed)
+    g = resolve_graph(args.graph_g)
+    h = resolve_graph(args.graph_h)
     limits = _limits(args)
     report = remark_search(g, h, cap=args.cap, limits=limits)
     lines = [
@@ -493,10 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TooLargeError, SizeOverflowError, BudgetExhaustedError) as exc:
         print(f"domlab: {exc}", file=sys.stderr)
         return 3
-    except DomLabError as exc:
-        print(f"domlab: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomLabError, OSError) as exc:
         print(f"domlab: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from .errors import (
     SizeOverflowError,
 )
 
-# Guard against accidentally huge products; callers can raise it explicitly.
+# Largest product or CLI family graph, in vertices. A constant: cli copies it.
 MAX_PRODUCT_VERTICES = 4096
 
 

@@ -57,6 +57,10 @@ from .trace import (
     verify_trace,
 )
 
+# Minimum dominating sets `remark_search` examines before it gives up.
+DEFAULT_REMARK_CAP = 100_000
+
+
 def _ceil_half(x: int) -> int:
     return -(-x // 2)
 
@@ -396,7 +400,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
 def remark_search(
     g: Graph,
     h: Graph,
-    cap: int = 100_000,
+    cap: int = DEFAULT_REMARK_CAP,
     limits: SolverLimits | None = None,
 ) -> RemarkReport:
     """Look for a minimum dominating set of g x h with minimal g-projection.

@@ -132,7 +132,7 @@ from .errors import (
 from .graphs import Graph, VertexSet, _check_universe, is_dominating
 
 DEFAULT_NODE_BUDGET = 5_000_000
-DEFAULT_ORACLE_GUARD = 16
+ORACLE_GUARD = 16
 
 # The symmetry input of a search (module docstring): `symmetry(picks)` gives,
 # for a node with the pick mask `picks`, a map from each vertex to the mask
@@ -426,19 +426,16 @@ def _solve(
     return DominationResult(gamma, VertexSet(g.n, witness))
 
 
-def gamma_oracle(g: Graph, guard: int = DEFAULT_ORACLE_GUARD) -> DominationResult:
+def gamma_oracle(g: Graph) -> DominationResult:
     """Reference solver: try every vertex subset by increasing size.
 
     The witness is the lexicographically first minimum dominating set, which
-    `itertools.combinations` yields for free.  Refuses graphs with more than
-    `guard` vertices; raise the guard explicitly if you mean it.
-    BadParameterError when `guard` is less than 1.
+    `itertools.combinations` yields for free.  TooLargeError for graphs with
+    more than ORACLE_GUARD vertices, so it never tries more than 2^16 subsets.
     """
-    if guard < 1:
-        raise BadParameterError(f"oracle guard must be at least 1, got {guard}")
-    if g.n > guard:
+    if g.n > ORACLE_GUARD:
         raise TooLargeError(
-            f"gamma_oracle guard is {guard} vertices, graph has {g.n}"
+            f"gamma_oracle guard is {ORACLE_GUARD} vertices, graph has {g.n}"
         )
     closed = g.closed
     full = g.full_mask

@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -50,23 +52,6 @@ def test_gamma_jsonl(capsys):
     assert rec["n"] == 16
 
 
-def test_gamma_oracle_method_agrees(capsys):
-    _, bb_out, _ = run(capsys, "gamma", "cycle:9", "--format", "jsonl")
-    _, oracle_out, _ = run(
-        capsys, "gamma", "cycle:9", "--method", "oracle", "--format", "jsonl"
-    )
-    assert json.loads(bb_out)["gamma"] == json.loads(oracle_out)["gamma"] == 3
-
-
-def test_gamma_oracle_guard_below_one_is_a_usage_error(capsys):
-    code, out, err = run(
-        capsys, "gamma", "path:5", "--method", "oracle", "--oracle-guard", "-1"
-    )
-    assert code == 2
-    assert out == ""
-    assert err == "domlab: oracle guard must be at least 1, got -1\n"
-
-
 def test_gamma_accepts_raw_graph6(capsys):
     code, out, _ = run(capsys, "gamma", "A_", "--format", "jsonl")
     assert code == 0
@@ -81,11 +66,21 @@ def test_gamma_from_file(capsys, tmp_path):
     assert json.loads(out)["gamma"] == 2
 
 
-def test_gamma_gnp_seed_flag_matches_inline_seed(capsys):
-    _, a, _ = run(capsys, "gamma", "gnp:8:0.5", "--seed", "9", "--format", "jsonl")
-    _, b, _ = run(capsys, "gamma", "gnp:8:0.5:9", "--format", "jsonl")
-    assert json.loads(a)["m"] == json.loads(b)["m"]
-    assert json.loads(a)["witness"] == json.loads(b)["witness"]
+def test_gamma_gnp_spec_needs_its_seed(capsys):
+    code, out, err = run(capsys, "gamma", "gnp:8:0.5")
+    assert code == 2
+    assert out == ""
+    assert err == "domlab: gnp spec must be gnp:N:P:SEED, got 'gnp:8:0.5'\n"
+
+
+def test_gamma_gnp_seed_zero_is_the_graph_a_seedless_spec_gave(capsys):
+    # The record `gamma gnp:8:0.5 --format jsonl` printed when an omitted
+    # seed meant 0; only the echoed spec differs.
+    code, out, _ = run(capsys, "gamma", "gnp:8:0.5:0", "--format", "jsonl")
+    assert code == 0
+    assert out == (
+        '{"graph": "gnp:8:0.5:0", "n": 8, "m": 11, "gamma": 3, "witness": [0, 1, 2]}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +607,29 @@ def test_version_flag(capsys):
     assert "0.1.0" in out
 
 
+# Every option each subcommand takes: 26 (subcommand, option) pairs.  Each
+# one is read by its command, and no input has a second spelling.
+CLI_OPTIONS = {
+    "gamma": {"--out", "--node-budget", "--format"},
+    "product": {"--out", "--format"},
+    "check": {"--out", "--node-budget", "--format", "--with-trace"},
+    "trace": {"--out", "--node-budget", "--dom-set", "--format"},
+    "remark": {"--out", "--node-budget", "--cap", "--format"},
+    "sweep": {
+        "--out",
+        "--node-budget",
+        "--graph6",
+        "--family",
+        "--pairs",
+        "--jobs",
+        "--format",
+        "--with-trace",
+    },
+    "enumerate": {"--out"},
+}
+REMOVED_OPTIONS = ("--seed", "--method", "--oracle-guard")
+
+
 def test_no_hidden_options():
     # Hidden flags are test hooks; tests patch the library instead.
     parser = build_parser()
@@ -621,3 +639,48 @@ def test_no_hidden_options():
     for name, sub in subcommands.choices.items():
         for action in sub._actions:
             assert action.help != argparse.SUPPRESS, (name, action.option_strings)
+    found = {
+        name: {
+            opt
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for name, sub in subcommands.choices.items()
+    }
+    assert found == CLI_OPTIONS
+    assert sum(len(opts) for opts in CLI_OPTIONS.values()) == 26
+
+
+def test_readme_synopsis_names_each_commands_own_options():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    synopsis = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named: dict[str, set[str]] = {}
+    for line in synopsis.splitlines():
+        if line.startswith("domlab "):
+            command = line.split()[1]
+            named[command] = set()
+        named[command] |= set(re.findall(r"--[a-z][a-z0-9-]*", line))
+    shared = {"--out", "--node-budget"}
+    assert named == {name: opts - shared for name, opts in CLI_OPTIONS.items()}
+    for option in REMOVED_OPTIONS:
+        assert option not in section, option
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gamma", "path:5", "--method", "oracle"),
+        ("gamma", "path:5", "--oracle-guard", "16"),
+        ("gamma", "gnp:8:0.5:0", "--seed", "9"),
+        ("enumerate", "3", "--node-budget", "5"),
+        ("product", "path:2", "path:2", "--node-budget", "5"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
