@@ -7,6 +7,8 @@ bitmask implementation, across seeded random instances.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from domlab import (
     NotDominatingError,
     ProjectionNotMinimalError,
     VertexSet,
+    all_pairs,
     build_partition,
     build_trace,
     cartesian_product,
@@ -389,6 +392,27 @@ def test_remark_chain_on_qualifying_random_instances():
         assert rv.all_passed
         assert len(D) >= rv.trace.gammaG * rv.trace.gammaH
     assert found >= 10
+
+
+def test_remark_verdicts_are_pinned(small_connected_corpus):
+    # Every check of every remark verdict over the <= 5 corpus, pinned by
+    # digest: 221 of the 496 pairs have a minimum set with minimal
+    # projection.  On those the argument runs with U = Q.
+    digest = hashlib.sha256()
+    hits = 0
+    for g, h in all_pairs(small_connected_corpus):
+        found = remark_search(g, h).found
+        if found is None:
+            continue
+        hits += 1
+        rv = remark_trace(g, h, found)
+        assert rv.trace.U == rv.trace.Q.members
+        line = json.dumps([check_to_dict(c) for c in rv.checks])
+        digest.update(line.encode() + b"\n")
+    assert hits == 221
+    assert digest.hexdigest() == (
+        "8fecd380327103b65735c6997ac88fbae8d1a6ccb893d5639b00127799e4b9a2"
+    )
 
 
 # ---------------------------------------------------------------------------
