@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_g")
     p.add_argument("graph_h")
     p.add_argument("--format", choices=["human", "csv", "jsonl"], default="human")
-    p.add_argument("--with-trace", action="store_true", help="embed trace checks in jsonl")
+    p.add_argument("--with-trace", action="store_true", help="embed trace checks; jsonl only")
 
     p = sub.add_parser(
         "trace",
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--format", choices=["csv", "jsonl", "human"], default="csv")
-    p.add_argument("--with-trace", action="store_true", help="embed trace checks in jsonl")
+    p.add_argument("--with-trace", action="store_true", help="embed trace checks; jsonl only")
 
     p = sub.add_parser(
         "enumerate",
@@ -329,7 +329,13 @@ def _emit_records(args, reports) -> None:
     _emit(args, text)
 
 
+def _refuse_unread_with_trace(args) -> None:
+    if args.with_trace and args.format != "jsonl":
+        raise BadParameterError("--with-trace needs --format jsonl")
+
+
 def _cmd_check(args) -> int:
+    _refuse_unread_with_trace(args)
     g = resolve_graph(args.graph_g)
     h = resolve_graph(args.graph_h)
     report = check_pair(g, h, _limits(args))
@@ -416,6 +422,7 @@ def _cmd_remark(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _refuse_unread_with_trace(args)
     if args.graph6:
         graphs = read_graph6_file(args.graph6)
     else:

@@ -453,9 +453,10 @@ def pair_report_row(r: PairReport) -> list[str]:
 
 
 def pair_report_dict(r: PairReport, with_verdict: bool = False) -> dict:
-    """Every field but the verdict, in order; with_verdict adds its checks."""
+    """Every field but the verdict; with_verdict adds its checks, null on an error row."""
     out = {f: getattr(r, f) for f in _JSONL_FIELDS}
-    if with_verdict and r.verdict is not None:
-        out["trace_checks"] = [check_to_dict(c) for c in r.verdict.checks]
-        out["trace_all_passed"] = r.verdict.all_passed
+    if with_verdict:
+        v = r.verdict
+        out["trace_checks"] = None if v is None else [check_to_dict(c) for c in v.checks]
+        out["trace_all_passed"] = None if v is None else v.all_passed
     return out

@@ -148,7 +148,8 @@ class RemarkVerdict(TraceVerdict):
     |C| >= sum_i (gamma(H) - |P_i| + |D_i|) >= gamma(G)*gamma(H), which
     forces |D| >= gamma(G)*gamma(H) through eq2.  Its checks are the ten of
     verify_trace followed by check_remark_sum, check_remark_product and
-    check_remark_conjecture; `trace` is the trace they were made on.
+    check_remark_conjecture.  `trace` is D's build_trace trace, whose U is Q:
+    a minimal dominating set has no smaller dominating subset.
     """
 
     trace: ProofTrace
@@ -211,13 +212,23 @@ def _resolve_gamma(
     return hint.gamma
 
 
-def _dominated_product(
-    g: Graph, h: Graph, D: VertexSet, product: ProductGraph | None = None
-) -> tuple[ProductGraph, VertexSet]:
-    """The product g x h (built unless supplied) and D's projection Q onto g.
+def build_trace(
+    g: Graph,
+    h: Graph,
+    D: VertexSet,
+    gamma_g: DominationResult | None = None,
+    gamma_h: DominationResult | None = None,
+    limits: SolverLimits | None = None,
+    product: ProductGraph | None = None,
+) -> ProofTrace:
+    """Materialize the counting argument for a dominating set D of g x h.
 
-    Raises when a supplied product does not match the factor sizes or when D
-    does not dominate the product.
+    U is the minimum dominating subset of the projection Q, computed with a
+    lexicographic tie-break so traces are reproducible.  Factors are used
+    exactly as given; callers wanting the sharp final bound must pass them
+    with gamma(g) >= gamma(h).  Optional gamma hints must carry witnesses,
+    which are re-checked before being trusted; anything else is recomputed.
+    `product` may pass in a previously built product of the same factors.
     """
     pg = cartesian_product(g, h) if product is None else product
     if pg.n_g != g.n or pg.n_h != h.n:
@@ -225,19 +236,11 @@ def _dominated_product(
     _check_universe(pg.graph, D)
     if not is_dominating(pg.graph, D):
         raise NotDominatingError("D does not dominate the product graph")
-    return pg, project_onto_G(pg, D)
+    Q = project_onto_G(pg, D)
+    U = gamma_restricted(g, Q, limits).witness.members
+    gammaG = _resolve_gamma(g, gamma_g, limits)
+    gammaH = _resolve_gamma(h, gamma_h, limits)
 
-
-def _assemble(
-    g: Graph,
-    h: Graph,
-    pg: ProductGraph,
-    D: VertexSet,
-    Q: VertexSet,
-    U: tuple[int, ...],
-    gammaG: int,
-    gammaH: int,
-) -> ProofTrace:
     n_h = h.n
     N = pg.graph.n
     k = len(U)
@@ -296,31 +299,6 @@ def _assemble(
         gammaG=gammaG,
         gammaH=gammaH,
     )
-
-
-def build_trace(
-    g: Graph,
-    h: Graph,
-    D: VertexSet,
-    gamma_g: DominationResult | None = None,
-    gamma_h: DominationResult | None = None,
-    limits: SolverLimits | None = None,
-    product: ProductGraph | None = None,
-) -> ProofTrace:
-    """Materialize the counting argument for a dominating set D of g x h.
-
-    U is the minimum dominating subset of the projection Q, computed with a
-    lexicographic tie-break so traces are reproducible.  Factors are used
-    exactly as given; callers wanting the sharp final bound must pass them
-    with gamma(g) >= gamma(h).  Optional gamma hints must carry witnesses,
-    which are re-checked before being trusted; anything else is recomputed.
-    `product` may pass in a previously built product of the same factors.
-    """
-    pg, Q = _dominated_product(g, h, D, product)
-    U = gamma_restricted(g, Q, limits).witness.members
-    gammaG = _resolve_gamma(g, gamma_g, limits)
-    gammaH = _resolve_gamma(h, gamma_h, limits)
-    return _assemble(g, h, pg, D, Q, U, gammaG, gammaH)
 
 
 # ---------------------------------------------------------------------------
@@ -498,23 +476,22 @@ def remark_trace(
     """Rerun the argument with U = Q for a minimal-projection dominating set.
 
     Requires D to dominate g x h and its projection onto g to be a minimal
-    dominating set (ProjectionNotMinimalError otherwise).  On top of the ten
-    base checks, verifies the sharpened chain
+    dominating set (ProjectionNotMinimalError otherwise, raised after the
+    trace is built).  The trace is build_trace's: its U, the minimum
+    dominating subset of Q, is then Q itself.  On top of the ten base
+    checks, verifies the sharpened chain
     |C| >= sum_i (gammaH - |P_i| + |D_i|) >= gammaG*gammaH and the resulting
     2|D| >= 2*gammaG*gammaH.
     """
-    pg, Q = _dominated_product(g, h, D)
-    if not is_minimal_dominating(g, Q):
+    trace = build_trace(g, h, D, limits=limits)
+    if not is_minimal_dominating(g, trace.Q):
         raise ProjectionNotMinimalError(
-            f"projection {Q.members} is not a minimal dominating set"
+            f"projection {trace.Q.members} is not a minimal dominating set"
         )
-    gammaG = gamma_bb(g, limits).gamma
-    gammaH = gamma_bb(h, limits).gamma
-    trace = _assemble(g, h, pg, D, Q, Q.members, gammaG, gammaH)
     sum_rhs = sum(
-        gammaH - len(trace.P[i]) + len(trace.Dparts[i]) for i in range(trace.k)
+        trace.gammaH - len(P_i) + len(D_i) for P_i, D_i in zip(trace.P, trace.Dparts)
     )
-    product_rhs = gammaG * gammaH
+    product_rhs = trace.gammaG * trace.gammaH
     sum_claim = "sum_i(gammaH - |P_i| + |D_i|)"
     remark_checks = (
         _at_least("check_remark_sum", f"|C| >= {sum_claim}", len(trace.C), sum_rhs),

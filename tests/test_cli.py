@@ -146,6 +146,29 @@ def test_check_jsonl_with_trace(capsys):
     assert len(rec["trace_checks"]) == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "path:3", "path:3", "--format", "human"),
+        ("check", "path:3", "path:3", "--format", "csv"),
+        ("sweep", "--family", "paths:1..3", "--format", "human"),
+        ("sweep", "--family", "paths:1..3", "--format", "csv"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_with_trace_outside_jsonl_is_refused_before_solving(capsys, monkeypatch, argv):
+    # Only JSONL records carry trace checks; elsewhere the flag would be ignored.
+    def unreachable(*a, **kw):
+        raise AssertionError("solved before refusing --with-trace")
+
+    monkeypatch.setattr(cli, "check_pair", unreachable)
+    monkeypatch.setattr(cli, "sweep", unreachable)
+    code, out, err = run(capsys, *argv, "--with-trace")
+    assert code == 2
+    assert out == ""
+    assert err == "domlab: --with-trace needs --format jsonl\n"
+
+
 def test_check_inject_fault_fails(capsys, monkeypatch):
     real = cli.check_pair
     monkeypatch.setattr(cli, "check_pair", lambda *a, **kw: corrupt(real(*a, **kw)))
@@ -333,22 +356,30 @@ def test_pair_report_outputs_are_pinned(capsys, argv, digest):
 
 
 def test_error_row_jsonl_keeps_every_key_in_order(capsys):
-    code, out, _ = run(capsys, *_BUDGET_40, "--format", "jsonl")
-    assert code == 0
-    rows = [json.loads(line) for line in out.splitlines()]
-    errors = [r for r in rows if r["error"] is not None]
-    assert len(errors) == 7
-    assert list(errors[0]) == [
+    # Every record of one run has the same keys in the same order; an error
+    # row writes null where it has no value, its verdict's keys included.
+    keys = [
         "g6_G", "g6_H", "gammaG", "gammaH", "gammaProduct", "bound_conjecture",
         "bound_CS", "bound_ST_half", "bound_ST_body", "bound_new", "slack_new",
         "trace_ok", "error",
     ]
-    assert errors[0] == {
-        **dict.fromkeys(errors[0], None),
-        "g6_G": "Dhc",
-        "g6_H": "EhEG",
-        "error": "BudgetExhaustedError: node budget 40 exhausted",
-    }
+    for extra, verdict_keys in [
+        ((), []),
+        (("--with-trace",), ["trace_checks", "trace_all_passed"]),
+    ]:
+        code, out, _ = run(capsys, *_BUDGET_40, "--format", "jsonl", *extra)
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 21
+        assert all(list(r) == keys + verdict_keys for r in rows)
+        errors = [r for r in rows if r["error"] is not None]
+        assert len(errors) == 7
+        assert errors[0] == {
+            **dict.fromkeys(keys + verdict_keys, None),
+            "g6_G": "Dhc",
+            "g6_H": "EhEG",
+            "error": "BudgetExhaustedError: node budget 40 exhausted",
+        }
 
 
 # ---------------------------------------------------------------------------

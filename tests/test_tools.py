@@ -7,15 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).parents[1]
 
 
-def test_paired_timing_runs_the_repo_against_itself():
+@pytest.mark.parametrize("workload", ["sweep", "remark"])
+def test_paired_timing_runs_the_repo_against_itself(workload):
     # Two copies of one checkout, loaded side by side, answer every
     # operation alike; each round prints both times and their ratio.
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "paired_timing.py"), str(ROOT),
-         str(ROOT), "--workload", "sweep", "--seed", "1", "--ops", "2",
+         str(ROOT), "--workload", workload, "--seed", "1", "--ops", "2",
          "--rounds", "2"],
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout.splitlines()
