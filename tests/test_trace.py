@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -272,6 +273,64 @@ def test_ten_checks_pass_on_random_valid_instances():
         v = verify_trace(t)
         assert v.all_passed, [c.name for c in v.checks if not c.passed]
         assert tuple(c.name for c in v.checks) == CHECK_NAMES
+
+
+def _corrupt(rng: random.Random, t, kind: str):
+    """`t` with one object of the argument falsified, as `kind` names."""
+    i = rng.randrange(t.k)
+    if kind == "T_i emptied":
+        return replace(t, T=t.T[:i] + (VertexSet(t.h.n),) + t.T[i + 1 :])
+    if kind == "T_i full":
+        return replace(t, T=t.T[:i] + (VertexSet.full(t.h.n),) + t.T[i + 1 :])
+    if kind == "half of C dropped":
+        cells = sorted(t.C)
+        return replace(t, C=t.C - set(rng.sample(cells, len(cells) // 2)))
+    if kind == "Lsizes - 2":
+        return replace(t, Lsizes=tuple(x - 2 for x in t.Lsizes))
+    if kind == "Rsizes + 2":
+        return replace(t, Rsizes=tuple(x + 2 for x in t.Rsizes))
+    if kind == "gammaH + 3":
+        return replace(t, gammaH=t.gammaH + 3)
+    if kind == "every P_i emptied":
+        return replace(t, P=tuple(VertexSet(t.h.n) for _ in t.P))
+    assert kind == "D emptied"
+    return replace(t, D=VertexSet(t.D.universe))
+
+
+CORRUPTIONS = (
+    "T_i emptied",
+    "T_i full",
+    "half of C dropped",
+    "Lsizes - 2",
+    "Rsizes + 2",
+    "gammaH + 3",
+    "every P_i emptied",
+    "D emptied",
+)
+
+
+def test_corrupted_traces_fail_their_checks_as_pinned():
+    # Every check but check_Pdom, which verify_trace makes true by
+    # construction, fails on some corrupted trace, and every check of every
+    # verdict is pinned by digest, so a check that stops reporting a
+    # violation (or reports it differently) moves the digest.
+    rng = random.Random(2020)
+    digest = hashlib.sha256()
+    failed = set()
+    for _ in range(400):
+        g = random_graph(rng, max_n=5)
+        h = random_graph(rng, max_n=5)
+        pg = cartesian_product(g, h)
+        D = random_minimal_dominating_set(rng, pg.graph)
+        t = _corrupt(rng, build_trace(g, h, D, product=pg), rng.choice(CORRUPTIONS))
+        for c in verify_trace(t).checks:
+            digest.update(json.dumps(check_to_dict(c)).encode() + b"\n")
+            if not c.passed:
+                failed.add(c.name)
+    assert failed == set(CHECK_NAMES) - {"check_Pdom"}
+    assert digest.hexdigest() == (
+        "45a99f9d7127ee2204b187513d20440d8058fe4af851aa075173fecc2213bed2"
+    )
 
 
 def test_checks_pass_with_non_minimal_dominating_sets():
