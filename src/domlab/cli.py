@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 1 when a report contains a violated bound or a
 failed trace check, 2 on usage errors (including malformed graph input),
-3 when a size guard or search budget stops the run.
+3 when a size guard or search budget stops the run; in `sweep` such a stop
+only makes its pair an error row, and the sweep goes on to exit 0 or 1.
 
 Graph arguments accept a raw graph6 string, `@path` to a graph6 file (first
 graph is used), or a family spec: path:4, cycle:5, complete:3, star:5,

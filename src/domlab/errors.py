@@ -28,10 +28,11 @@ class SizeOverflowError(DomLabError):
 
 
 class Graph6Error(DomLabError):
-    """Malformed graph6 input.  `offset` is the byte position of the problem."""
+    """Malformed graph6 input: `message` at byte position `offset`."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte {offset})")
+        self.message = message
         self.offset = offset
 
 

@@ -96,27 +96,35 @@ def graph_name(g: Graph) -> str:
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:
-    """Decode every nonblank line of a graph6 file body."""
+    """Decode every nonblank line of a graph6 file body.  A bad line is a
+    Graph6Error naming its 1-based number, at the fault's offset in `text`."""
     graphs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line == GRAPH6_HEADER:
-            continue
-        graphs.append(parse_graph6(line))
+    start = 0
+    try:
+        for number, raw in enumerate(text.splitlines(keepends=True), 1):
+            line = raw.strip()
+            if line and line != GRAPH6_HEADER:
+                graphs.append(parse_graph6(line))
+            start += len(raw)
+    except Graph6Error as exc:
+        # parse_graph6 counts from the end of the line's header, if any.
+        at = start + len(raw.rstrip()) - len(line.removeprefix(GRAPH6_HEADER))
+        raise Graph6Error(f"line {number}: {exc.message}", at + exc.offset) from None
     return graphs
 
 
 def read_graph6_file(path: str) -> list[Graph]:
-    """Decode a graph6 file; a non-ASCII byte is a Graph6Error at its file offset."""
+    """Decode a graph6 file; a Graph6Error names it, at the fault's file offset."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("ascii")
+        return parse_graph6_lines(data.decode("ascii"))
     except UnicodeDecodeError as exc:
         raise Graph6Error(
             f"non-ASCII byte {data[exc.start]:#04x} in {path!r}", exc.start
         ) from None
-    return parse_graph6_lines(text)
+    except Graph6Error as exc:
+        raise Graph6Error(f"{path!r} {exc.message}", exc.offset) from None
 
 
 def format_edge_list(g: Graph) -> str:

@@ -14,10 +14,10 @@ checks each of its inequalities on the concrete instance:
            taken in the product graph.
   L_i, R_v row and column counts of C, so |C| = sum |L_i| = sum |R_v|.
 
-The ten checks verified for every trace:
+The ten checks, tested in one pass over the blocks and one over the layers:
 
   check_T           |T_i| >= 1 for every i
-  check_Pdom        P_i together with V(H) - N_H[P_i] dominates H
+  check_Pdom        P_i together with V(H) - N_H[P_i] dominates H (by construction)
   check_Pineq       |V(H) - N_H[P_i]| >= gamma(H) - |P_i|
   check_disjoint    (V(H) - N_H[P_i]) and T_i are disjoint
   check_membership  v in (V(H) - N_H[P_i]) union T_i  implies  (i, v) in C
@@ -59,6 +59,7 @@ from .graphs import (
     ProductGraph,
     VertexSet,
     _check_universe,
+    _iter_bits,
     _project,
     _spread,
     cartesian_product,
@@ -329,103 +330,68 @@ def _at_least(name: str, claim: str, lhs: int, rhs: int) -> CheckResult:
 def verify_trace(t: ProofTrace) -> TraceVerdict:
     """Evaluate the ten checks on a finished trace.
 
-    Pure inspection: gamma values stored in the trace are taken as given and
-    nothing is re-solved.  Failures are reported in the verdict, never thrown.
+    One pass over the blocks derives V(H) - N_H[P_i] from P_i once a block,
+    which makes check_Pdom hold by construction, and tests the six per-block
+    claims on it; one pass over the layers tests check_R.  Pure inspection:
+    gamma values stored in the trace are taken as given and nothing is
+    re-solved.  Failures are reported in the verdict, never thrown.
     """
     h = t.h
-    k = t.k
     dsize = len(t.D)
     csize = len(t.C)
-    checks = []
-
-    # V(H) - N_H[P_i] per block.
-    comp_masks = [
-        h.full_mask & ~closed_neighborhood_set(h, P_i).mask for P_i in t.P
-    ]
-
-    v_T = [f"i={i}: |T_i|={len(t.T[i])}" for i in range(k) if len(t.T[i]) < 1]
-    checks.append(_quantified("check_T", "every |T_i| >= 1", v_T))
-
-    v_Pdom = []
-    for i in range(k):
-        union = VertexSet(h.n, t.P[i].mask | comp_masks[i])
-        if not is_dominating(h, union):
+    v_T, v_Pdom, v_Pineq, v_disj, v_member, v_L = [], [], [], [], [], []
+    for i, (T_i, P_i) in enumerate(zip(t.T, t.P)):
+        # V(H) - N_H[P_i]: the vertices of H that P_i leaves undominated.
+        rest = h.full_mask & ~closed_neighborhood_set(h, P_i).mask
+        rest_size = rest.bit_count()
+        if len(T_i) < 1:
+            v_T.append(f"i={i}: |T_i|={len(T_i)}")
+        if not is_dominating(h, VertexSet(h.n, P_i.mask | rest)):
             v_Pdom.append(f"i={i}: P_i with its non-dominated rest misses H")
-    checks.append(
-        _quantified("check_Pdom", "every P_i + (V(H) - N_H[P_i]) dominates H", v_Pdom)
-    )
-
-    v_Pineq = []
-    for i in range(k):
-        lhs = comp_masks[i].bit_count()
-        rhs = t.gammaH - len(t.P[i])
-        if lhs < rhs:
-            v_Pineq.append(f"i={i}: {lhs} < {rhs}")
-    checks.append(
-        _quantified("check_Pineq", "every |V(H) - N_H[P_i]| >= gammaH - |P_i|", v_Pineq)
-    )
-
-    v_disj = []
-    for i in range(k):
-        overlap = comp_masks[i] & t.T[i].mask
+        pineq_rhs = t.gammaH - len(P_i)
+        if rest_size < pineq_rhs:
+            v_Pineq.append(f"i={i}: {rest_size} < {pineq_rhs}")
+        overlap = rest & T_i.mask
         if overlap:
             v_disj.append(f"i={i}: overlap {VertexSet(h.n, overlap).members}")
-    checks.append(
-        _quantified(
-            "check_disjoint", "every (V(H) - N_H[P_i]) is disjoint from T_i", v_disj
-        )
-    )
-
-    v_member = []
-    for i in range(k):
-        trigger = comp_masks[i] | t.T[i].mask
-        m = trigger
-        while m:
-            bit = m & -m
-            v = bit.bit_length() - 1
-            m ^= bit
+        for v in _iter_bits(rest | T_i.mask):
             if (i, v) not in t.C:
                 v_member.append(f"(i={i}, v={v}) missing from C")
-    checks.append(
-        _quantified(
-            "check_membership",
-            "v in (V(H) - N_H[P_i]) + T_i implies (i, v) in C",
-            v_member,
-        )
-    )
-
-    v_L = []
-    for i in range(k):
-        rhs = comp_masks[i].bit_count() + len(t.T[i])
-        if t.Lsizes[i] < rhs:
-            v_L.append(f"i={i}: {t.Lsizes[i]} < {rhs}")
-    checks.append(
-        _quantified("check_L", "every |L_i| >= |V(H) - N_H[P_i]| + |T_i|", v_L)
-    )
-
-    eq1_rhs = k * t.gammaH - dsize + k
-    checks.append(_at_least("check_eq1", "|C| >= k*gammaH - |D| + k", csize, eq1_rhs))
-
+        L_rhs = rest_size + len(T_i)
+        if t.Lsizes[i] < L_rhs:
+            v_L.append(f"i={i}: {t.Lsizes[i]} < {L_rhs}")
     v_R = []
     for v in range(h.n):
         if t.Rsizes[v] > len(t.Qv[v]):
             v_R.append(f"v={v}: {t.Rsizes[v]} > {len(t.Qv[v])}")
-    checks.append(_quantified("check_R", "every |R_v| <= |Q_v|", v_R))
-
-    checks.append(
+    eq1_rhs = t.k * t.gammaH - dsize + t.k
+    final_lhs = 2 * dsize
+    final_rhs = t.k * t.gammaH + t.k
+    final_rhs2 = t.gammaG * t.gammaH + max(t.gammaG, t.gammaH)
+    return TraceVerdict((
+        _quantified("check_T", "every |T_i| >= 1", v_T),
+        _quantified("check_Pdom", "every P_i + (V(H) - N_H[P_i]) dominates H", v_Pdom),
+        _quantified(
+            "check_Pineq", "every |V(H) - N_H[P_i]| >= gammaH - |P_i|", v_Pineq
+        ),
+        _quantified(
+            "check_disjoint", "every (V(H) - N_H[P_i]) is disjoint from T_i", v_disj
+        ),
+        _quantified(
+            "check_membership",
+            "v in (V(H) - N_H[P_i]) + T_i implies (i, v) in C",
+            v_member,
+        ),
+        _quantified("check_L", "every |L_i| >= |V(H) - N_H[P_i]| + |T_i|", v_L),
+        _at_least("check_eq1", "|C| >= k*gammaH - |D| + k", csize, eq1_rhs),
+        _quantified("check_R", "every |R_v| <= |Q_v|", v_R),
         CheckResult(
             name="check_eq2",
             passed=csize <= dsize,
             statement=f"|C| <= |D|: {csize} <= {dsize}",
             lhs=csize,
             rhs=dsize,
-        )
-    )
-
-    final_lhs = 2 * dsize
-    final_rhs = k * t.gammaH + k
-    final_rhs2 = t.gammaG * t.gammaH + max(t.gammaG, t.gammaH)
-    checks.append(
+        ),
         CheckResult(
             name="check_final",
             passed=final_lhs >= final_rhs and final_lhs >= final_rhs2,
@@ -437,9 +403,8 @@ def verify_trace(t: ProofTrace) -> TraceVerdict:
             lhs=final_lhs,
             rhs=final_rhs,
             rhs2=final_rhs2,
-        )
-    )
-    return TraceVerdict(tuple(checks))
+        ),
+    ))
 
 
 def contradiction_witness(t: ProofTrace, v: int) -> VertexSet | None:

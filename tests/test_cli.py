@@ -616,6 +616,16 @@ def test_non_ascii_graph6_file(capsys, tmp_path):
     assert "(byte 2)" in err
 
 
+def test_bad_graph6_file_line_names_the_file_and_line(capsys, tmp_path):
+    p = tmp_path / "bad.g6"
+    p.write_text("A_\nBw\nC~x\n")
+    code, out, err = run(capsys, "sweep", "--graph6", str(p))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"domlab: {str(p)!r} line 3: trailing bytes after graph6 data (byte 8)\n"
+    )
+
+
 def test_node_budget_exhaustion_exit_code(capsys):
     code, _, err = run(capsys, "gamma", "grid:6x6", "--node-budget", "10")
     assert code == 3

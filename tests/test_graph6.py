@@ -171,6 +171,27 @@ def test_read_graph6_file(tmp_path):
     assert read_graph6_file(str(p)) == [complete(2), complete(3)]
 
 
+def test_bad_line_names_its_number_and_offset_in_the_text(tmp_path):
+    # Line 3 is C~x after blanks and a header: parse_graph6 alone puts the
+    # trailing byte at 2 of its payload; in the whole text it is at 18.
+    text = "A_\n\n  >>graph6<<C~x\nBw\n"
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6("C~x")
+    assert exc.value.offset == 2
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6_lines(text)
+    assert str(exc.value) == "line 3: trailing bytes after graph6 data (byte 18)"
+    assert text[exc.value.offset] == "x"
+    p = tmp_path / "bad.g6"
+    p.write_bytes(text.replace("\n", "\r\n").encode())
+    with pytest.raises(Graph6Error) as exc:
+        read_graph6_file(str(p))
+    assert str(exc.value) == (
+        f"{str(p)!r} line 3: trailing bytes after graph6 data (byte 20)"
+    )
+    assert p.read_bytes()[exc.value.offset : exc.value.offset + 1] == b"x"
+
+
 # ---------------------------------------------------------------------------
 # Edge-list text format
 # ---------------------------------------------------------------------------

@@ -30,3 +30,13 @@ def test_paired_timing_runs_the_repo_against_itself(workload):
             line,
         ), line
     assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])
+
+
+def test_mutants_kills_the_silenced_membership_check():
+    # A check_membership that never records a violation passes every other
+    # test; the corrupted-trace pin is what kills it.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mutants.py"), "silenced-membership"],
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout.splitlines()
+    assert out == ["killed    silenced-membership", "survivors: none"]
