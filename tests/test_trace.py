@@ -31,7 +31,9 @@ from domlab import (
     format_check,
     gamma_bb,
     grid,
+    is_dominating,
     make_graph,
+    parse_graph6,
     path,
     project_onto_G,
     remark_search,
@@ -216,6 +218,22 @@ def test_trace_rejects_mismatched_product():
     pg = cartesian_product(path(3), path(3))
     with pytest.raises(BadParameterError):
         build_trace(path(4), path(4), VertexSet.full(16), product=pg)
+
+
+def test_trace_refuses_the_product_of_other_factors_of_the_same_orders():
+    # Dlo and D^o both have 5 vertices, so D^o x C4 has the size of
+    # Dlo x C4.  Its minimum set D does not dominate Dlo x C4 (gamma 5),
+    # yet a trace built on the wrong product would pass all ten checks.
+    g, other, h = parse_graph6("Dlo"), parse_graph6("D^o"), cycle(4)
+    foreign = cartesian_product(other, h)
+    D = gamma_bb(foreign.graph).witness
+    assert len(D) == 4
+    assert not is_dominating(cartesian_product(g, h).graph, D)
+    with pytest.raises(BadParameterError, match="not built from these factors"):
+        build_trace(g, h, D, product=foreign)
+    own = cartesian_product(g, h)
+    t = build_trace(g, h, gamma_bb(own.graph).witness, product=own)
+    assert t.product is own and len(t.D) == 5 and verify_trace(t).all_passed
 
 
 def test_trace_gamma_hint_witness_is_verified():
