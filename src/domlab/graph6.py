@@ -10,7 +10,7 @@ The edge-list format ('n m', then one 'u v' line per edge) is written for
 
 from __future__ import annotations
 
-from .errors import BadParameterError, EmptyGraphError, Graph6Error
+from .errors import BadParameterError, Graph6Error
 from .graphs import Graph, make_graph
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -25,7 +25,7 @@ def parse_graph6(text: str) -> Graph:
     """Decode one graph6 string; a leading '>>graph6<<' header is tolerated.
 
     Raises Graph6Error (with the byte offset into the payload) on malformed
-    input, and EmptyGraphError if the string encodes a zero-vertex graph.
+    input, a string that encodes a zero-vertex graph included.
     """
     s = text.strip()
     if s.startswith(GRAPH6_HEADER):
@@ -39,7 +39,7 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"invalid size byte {s[0]!r}", 0)
     n = first - 63
     if n == 0:
-        raise EmptyGraphError("graph6 string encodes a graph with zero vertices")
+        raise Graph6Error("graph6 string encodes a graph with zero vertices", 0)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     body = s[1:]

@@ -188,25 +188,21 @@ def _raise_first_bad_row(n: int, adj: tuple[int, ...]) -> None:
 
 
 class ProductGraph:
-    """A Cartesian product graph and its factor orders.
+    """A Cartesian product graph and the factors it was built from.
 
-    `graph` is the product itself; `n_g` and `n_h` are the factor orders.
-    Vertex (u, v) has id u * n_h + v.
+    `graph` is G x H; `g` and `h` are G and H.  Vertex (u, v) has id
+    u * h.n + v.  Only `cartesian_product` builds one.
     """
 
-    __slots__ = ("graph", "n_g", "n_h")
+    __slots__ = ("graph", "g", "h")
 
-    def __init__(self, graph: Graph, n_g: int, n_h: int):
-        if n_g * n_h != graph.n:
-            raise BadParameterError(
-                f"product of {n_g} x {n_h} factors cannot have {graph.n} vertices"
-            )
+    def __init__(self, graph: Graph, g: Graph, h: Graph):
         self.graph = graph
-        self.n_g = n_g
-        self.n_h = n_h
+        self.g = g
+        self.h = h
 
     def __repr__(self) -> str:
-        return f"ProductGraph(n_g={self.n_g}, n_h={self.n_h}, n={self.graph.n})"
+        return f"ProductGraph(n_g={self.g.n}, n_h={self.h.n}, n={self.graph.n})"
 
 
 def _check_universe(g: Graph, s: VertexSet) -> None:
@@ -275,10 +271,7 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
         base = u * n_h
         for v in range(n_h):
             rows[base + v] = (h.adj[v] << base) | (spread_g[u] << v)
-    name = None
-    if g.name and h.name:
-        name = f"{g.name} x {h.name}"
-    return ProductGraph(Graph(n, rows, name), g.n, n_h)
+    return ProductGraph(Graph(n, rows), g, h)
 
 
 def _spread(mask: int, width: int) -> int:

@@ -193,7 +193,7 @@ def build_partition(g: Graph, U: Sequence[int]) -> tuple[int, ...]:
 def project_onto_G(pg: ProductGraph, s: VertexSet) -> VertexSet:
     """First-factor vertices that own at least one member of s."""
     _check_universe(pg.graph, s)
-    return VertexSet(pg.n_g, _project(s.mask, pg.n_h)[0])
+    return VertexSet(pg.g.n, _project(s.mask, pg.h.n)[0])
 
 
 def _resolve_gamma(
@@ -229,11 +229,11 @@ def build_trace(
     exactly as given; callers wanting the sharp final bound must pass them
     with gamma(g) >= gamma(h).  Optional gamma hints must carry witnesses,
     which are re-checked before being trusted; anything else is recomputed.
-    `product` may pass in a previously built product of the same factors.
+    `product`, if given, must be `cartesian_product(g, h)` of these very factors.
     """
     pg = cartesian_product(g, h) if product is None else product
-    if pg.n_g != g.n or pg.n_h != h.n:
-        raise BadParameterError("supplied product does not match the factor sizes")
+    if pg.g != g or pg.h != h:
+        raise BadParameterError("supplied product was not built from these factors")
     _check_universe(pg.graph, D)
     if not is_dominating(pg.graph, D):
         raise NotDominatingError("D does not dominate the product graph")

@@ -626,6 +626,17 @@ def test_bad_graph6_file_line_names_the_file_and_line(capsys, tmp_path):
     )
 
 
+def test_zero_vertex_graph6_file_line_names_the_file_and_line(capsys, tmp_path):
+    p = tmp_path / "f.g6"
+    p.write_text("A_\nBw\n?\n")
+    code, out, err = run(capsys, "sweep", "--graph6", str(p))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"domlab: {str(p)!r} line 3: graph6 string encodes a graph with zero"
+        " vertices (byte 6)\n"
+    )
+
+
 def test_node_budget_exhaustion_exit_code(capsys):
     code, _, err = run(capsys, "gamma", "grid:6x6", "--node-budget", "10")
     assert code == 3

@@ -9,7 +9,6 @@ import pytest
 
 from domlab import (
     BadParameterError,
-    EmptyGraphError,
     Graph6Error,
     complete,
     cycle,
@@ -150,8 +149,16 @@ def test_nonzero_padding_rejected():
 
 
 def test_zero_vertex_graph_rejected():
-    with pytest.raises(EmptyGraphError):
+    with pytest.raises(Graph6Error):
         parse_graph6("?")
+
+
+def test_zero_vertex_line_names_its_number_and_offset_in_the_text():
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6_lines("A_\nBw\n?\n")
+    assert str(exc.value) == (
+        "line 3: graph6 string encodes a graph with zero vertices (byte 6)"
+    )
 
 
 # ---------------------------------------------------------------------------

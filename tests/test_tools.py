@@ -40,3 +40,16 @@ def test_mutants_kills_the_silenced_membership_check():
         capture_output=True, text=True, timeout=300, check=True,
     ).stdout.splitlines()
     assert out == ["killed    silenced-membership", "survivors: none"]
+
+
+def test_corpus_check_matches_the_recorded_csv():
+    # The CLI sweep of every pair of connected graphs on <= 6 vertices, run
+    # through the worker pool, keeps the CSV bytes recorded in the tool.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "corpus_check.py")],
+        capture_output=True, text=True, timeout=300, check=True,
+    ).stdout
+    assert out == (
+        "ok: 143 graphs, 10296 pairs, csv sha256 "
+        "969b40f629643419868e124d0a942ab24c519a1faf581da09e7006f6d54b044a\n"
+    )

@@ -37,6 +37,9 @@ ENUMERATOR_TESTS = (
     "test_solver.py::test_enumerate_matches_brute_force_order_and_truncation",
     "test_solver.py::test_enumerate_all_results_are_minimum_dominating",
 )
+FOREIGN_PRODUCT = (
+    "test_trace.py::test_trace_refuses_the_product_of_other_factors_of_the_same_orders"
+)
 TRACE_TESTS = (
     "test_trace.py::test_ten_checks_pass_on_random_valid_instances", CORRUPTED_PIN
 )
@@ -64,6 +67,8 @@ MUTANTS = (
      "if t.Lsizes[i] <= L_rhs:", TRACE_TESTS),
     ("check-R-at-equality", "trace.py", "if t.Rsizes[v] > len(t.Qv[v]):",
      "if t.Rsizes[v] >= len(t.Qv[v]):", TRACE_TESTS),
+    ("product-orders-only", "trace.py", "if pg.g != g or pg.h != h:",
+     "if pg.g.n != g.n or pg.h.n != h.n:", (FOREIGN_PRODUCT,)),
 )
 
 
