@@ -25,7 +25,6 @@ error, and heads gammaProduct `gammaProd`.
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -227,7 +226,7 @@ def _orbit_table(g: Graph) -> dict[int, tuple[int, ...]]:
     # Stabilizer orbits of g by fixed-vertex mask, filled on use.  Sweeps meet
     # the same factors again and again: with a fresh table per pair, checking
     # pairs of 6-vertex graphs took ~1.7 times as long.  The cache holds all
-    # 143 connected graphs on <= 6 vertices.
+    # 996 connected graphs on <= 7 vertices.
     return {}
 
 
@@ -328,7 +327,7 @@ def sweep(
 
 
 # ---------------------------------------------------------------------------
-# Connected-graph enumeration (n <= 6, brute-force canonical orbits)
+# Connected-graph enumeration (n <= 7, orbits closed under two generators of S_n)
 # ---------------------------------------------------------------------------
 
 
@@ -355,42 +354,59 @@ def _mask_connected(mask: int, pairs: list[tuple[int, int]], n: int) -> bool:
     return visited == (1 << n) - 1
 
 
+def _chunk_tables(
+    p: tuple[int, ...], pairs: list[tuple[int, int]]
+) -> tuple[list[int], ...]:
+    """The action of vertex permutation p on edge masks, as three tables:
+    the image of mask m is t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]."""
+    index = {pair: e for e, pair in enumerate(pairs)}
+    image = [1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+    tables = []
+    for lo in (0, 8, 16):
+        table = [0]
+        for b in image[lo:lo + 8]:  # table[x | 1 << k] = table[x] | image of bit k
+            table += [t | b for t in table]
+        tables.append(table)
+    return tuple(tables)
+
+
 def enumerate_connected_graphs(n: int) -> list[Graph]:
     """All connected graphs on n vertices, one per isomorphism class.
 
-    Classes are deduplicated exhaustively: each newly seen connected edge
-    mask has its entire orbit under all n! vertex permutations marked, so
-    the representative kept is exactly the orbit's smallest edge mask.
-    Guarded to n <= 6 (class counts 1, 1, 2, 6, 21, 112).
+    Edge masks are scanned in ascending order.  The first one not yet marked
+    starts a new class: its whole orbit under vertex permutations is marked
+    by a breadth-first closure under the transposition (0 1) and the
+    rotation i -> i+1 mod n, which generate S_n.  The orbit's first mask is
+    its least, so the representative kept is exactly the orbit's smallest
+    edge mask; connectivity is tested on it alone.  Guarded to n <= 7 (class
+    counts 1, 1, 2, 6, 21, 112, 853), where the mark array is 2 MB; n = 8
+    would need 256 MB.
     """
     if n < 1:
         raise BadParameterError(f"need n >= 1, got {n}")
-    if n > 6:
-        raise TooLargeError(f"connected-graph enumeration is guarded to n <= 6, got {n}")
+    if n > 7:
+        raise TooLargeError(f"connected-graph enumeration is guarded to n <= 7, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {pair: e for e, pair in enumerate(pairs)}
-    # Edge-index permutation table per vertex permutation.
-    tables = []
-    for p in itertools.permutations(range(n)):
-        tables.append(
-            [index[tuple(sorted((p[i], p[j])))] for i, j in pairs]
-        )
+    swap = (1, 0, *range(2, n))
+    rotate = tuple((i + 1) % n for i in range(n))
+    # At n = 2 the rotation is the swap, and n = 1 needs no generator.
+    gens = [_chunk_tables(p, pairs) for p in (swap, rotate)[: min(n - 1, 2)]]
     seen = bytearray(1 << len(pairs))
     reps = []
     for mask in range(1 << len(pairs)):
         if seen[mask]:
             continue
-        if not _mask_connected(mask, pairs, n):
-            continue
-        reps.append(mask)
-        for table in tables:
-            pm = 0
-            m = mask
-            while m:
-                bit = m & -m
-                pm |= 1 << table[bit.bit_length() - 1]
-                m ^= bit
-            seen[pm] = 1
+        seen[mask] = 1
+        orbit = [mask]
+        for m in orbit:  # grows as the closure runs
+            lo, mid, hi = m & 255, m >> 8 & 255, m >> 16
+            for t0, t1, t2 in gens:
+                pm = t0[lo] | t1[mid] | t2[hi]
+                if not seen[pm]:
+                    seen[pm] = 1
+                    orbit.append(pm)
+        if _mask_connected(mask, pairs, n):
+            reps.append(mask)
     return [
         make_graph(n, [pairs[e] for e in range(len(pairs)) if (mask >> e) & 1])
         for mask in reps

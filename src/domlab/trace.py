@@ -86,7 +86,6 @@ class ProofTrace:
 
     g: Graph
     h: Graph
-    product: ProductGraph
     D: VertexSet
     Q: VertexSet
     U: tuple[int, ...]
@@ -283,7 +282,6 @@ def build_trace(
     return ProofTrace(
         g=g,
         h=h,
-        product=pg,
         D=D,
         Q=Q,
         U=U,
@@ -420,8 +418,7 @@ def contradiction_witness(t: ProofTrace, v: int) -> VertexSet | None:
         raise BadVertexError(f"layer {v} outside 0..{t.h.n - 1}")
     if t.Rsizes[v] <= len(t.Qv[v]):
         return None
-    proj = project_onto_G(t.product, t.Qv[v])
-    mask = proj.mask
+    mask = _project(t.Qv[v].mask, t.h.n)[0]
     for j, u in enumerate(t.U):
         if (j, v) not in t.C:
             mask |= 1 << u

@@ -564,9 +564,9 @@ def test_enumerate_four_vertex_connected_graphs(capsys):
 
 
 def test_enumerate_guard(capsys):
-    code, _, err = run(capsys, "enumerate", "7")
+    code, _, err = run(capsys, "enumerate", "8")
     assert code == 3
-    assert "n <= 6" in err
+    assert "n <= 7" in err
 
 
 # ---------------------------------------------------------------------------

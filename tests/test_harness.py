@@ -34,12 +34,14 @@ from domlab import (
     is_dominating,
     pair_report_dict,
     pair_report_row,
+    parse_graph6,
     path,
     remark_search,
     star,
     sweep,
     zip_pairs,
 )
+from domlab.cli import main
 from helpers import milp_gamma
 
 
@@ -388,9 +390,59 @@ def test_enumeration_counts():
 
 def test_enumeration_guards():
     with pytest.raises(TooLargeError):
-        enumerate_connected_graphs(7)
+        enumerate_connected_graphs(8)
     with pytest.raises(BadParameterError):
         enumerate_connected_graphs(0)
+
+
+def test_each_representative_is_the_least_mask_of_its_orbit():
+    # The kept graph is the least edge mask of its class under all n!
+    # vertex permutations (bit e is the e-th pair i < j in lexicographic
+    # order), and the masks ascend: that fixes the labelling and the order
+    # of every graph6 line.
+    for n in range(1, 7):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        index = {pair: e for e, pair in enumerate(pairs)}
+        images = [
+            [1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
+            for p in itertools.permutations(range(n))
+        ]
+        masks = []
+        for g in enumerate_connected_graphs(n):
+            edges = [index[e] for e in g.edges()]
+            mask = sum(1 << e for e in edges)
+            assert mask == min(sum(image[e] for e in edges) for image in images)
+            masks.append(mask)
+        assert masks == sorted(masks) and len(set(masks)) == len(masks)
+
+
+def test_seven_vertex_enumeration_matches_the_atlas(capsys):
+    # The stdout of `domlab enumerate 7`; the brute force over all 7!
+    # permutations printed the same lines.
+    assert main(["enumerate", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "81bdd915a6b27e71ebb9fcfaace4d6731d8edf64553453dc146edac2548b68fb"
+    )
+    lines = out.splitlines()
+    assert len(lines) == 853
+    atlas = {}
+    for x in nx.graph_atlas_g():
+        if x.number_of_nodes() == 7 and nx.is_connected(x):
+            atlas.setdefault(tuple(sorted(d for _, d in x.degree())), []).append(x)
+    matched = set()
+    for line in lines:
+        g = parse_graph6(line)
+        nxg = nx.Graph(list(g.edges()))
+        nxg.add_nodes_from(range(7))
+        hits = [
+            id(x)
+            for x in atlas.get(tuple(sorted(d for _, d in nxg.degree())), [])
+            if nx.is_isomorphic(nxg, x)
+        ]
+        assert len(hits) == 1, line
+        matched.add(hits[0])
+    assert len(matched) == 853
 
 
 def test_enumeration_yields_connected_graphs():

@@ -233,7 +233,7 @@ def test_trace_refuses_the_product_of_other_factors_of_the_same_orders():
         build_trace(g, h, D, product=foreign)
     own = cartesian_product(g, h)
     t = build_trace(g, h, gamma_bb(own.graph).witness, product=own)
-    assert t.product is own and len(t.D) == 5 and verify_trace(t).all_passed
+    assert len(t.D) == 5 and verify_trace(t).all_passed
 
 
 def test_trace_gamma_hint_witness_is_verified():

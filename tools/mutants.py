@@ -43,6 +43,10 @@ FOREIGN_PRODUCT = (
 TRACE_TESTS = (
     "test_trace.py::test_ten_checks_pass_on_random_valid_instances", CORRUPTED_PIN
 )
+ENUMERATION_TESTS = (
+    "test_harness.py::test_enumeration_counts",
+    "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
+)
 
 # (name, file under src/domlab, exact old text, new text, tests to run)
 MUTANTS = (
@@ -69,6 +73,8 @@ MUTANTS = (
      "if t.Rsizes[v] >= len(t.Qv[v]):", TRACE_TESTS),
     ("product-orders-only", "trace.py", "if pg.g != g or pg.h != h:",
      "if pg.g.n != g.n or pg.h.n != h.n:", (FOREIGN_PRODUCT,)),
+    ("enumerate-one-generator", "harness.py", "for p in (swap, rotate)[: min(n - 1, 2)]",
+     "for p in (swap, rotate)[: min(n - 1, 1)]", ENUMERATION_TESTS),
 )
 
 
