@@ -16,8 +16,8 @@ from domlab import (
     cartesian_product,
     contradiction_witness,
     format_check,
-    gamma_bb,
     path,
+    solve_product,
     verify_trace,
 )
 
@@ -29,7 +29,7 @@ def pairs(n_h: int, s) -> list[tuple[int, int]]:
 def main() -> None:
     g = h = path(4)
     pg = cartesian_product(g, h)
-    D = gamma_bb(pg.graph).witness
+    D = solve_product(pg).witness  # the set `domlab check` and `trace` replay
     print(f"G = H = P4; the product is the 4x4 grid, gamma = {len(D)}")
     print(f"D (as (u, v) pairs) = {pairs(h.n, D)}")
     print()

@@ -50,6 +50,7 @@ from .harness import (
     pair_report_dict,
     pair_report_row,
     remark_search,
+    solve_product,
     sweep,
     zip_pairs,
 )
@@ -364,7 +365,7 @@ def _cmd_trace(args) -> int:
     if args.dom_set:
         dom = _parse_domset(args.dom_set, pg.graph.n)
     else:
-        dom = gamma_bb(pg.graph, limits).witness
+        dom = solve_product(pg, limits).witness
     tr = build_trace(g, h, dom, limits=limits, product=pg)
     verdict = verify_trace(tr)
     # check_R fails exactly when some layer has a contradiction witness.

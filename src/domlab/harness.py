@@ -34,6 +34,7 @@ from .errors import BadParameterError, TooLargeError
 from .graph6 import graph_name
 from .graphs import (
     Graph,
+    ProductGraph,
     VertexSet,
     _project,
     _spread,
@@ -42,6 +43,7 @@ from .graphs import (
     vertex_orbits,
 )
 from .solver import (
+    DominationResult,
     SolverLimits,
     Symmetry,
     enumerate_minimum_dominating_sets,
@@ -133,22 +135,14 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     """Solve one pair exactly and verify the counting argument on it.
 
     Both domination numbers and the product's are exact.  The trace is built
-    on the minimum dominating set the product's search found last, not the
-    lexicographically smallest one: the counting argument holds for every
-    dominating set D, and with |D| = gamma its chain bounds gammaProduct
-    itself, so any minimum set checks the theorem and the witness pass is
-    skipped.  Only set-dependent figures inside the trace's checks (|C| and
-    k) depend on which set it is.  The product's search also branches on
-    orbits at every depth (see `solver`): at a node whose picks have
-    G-coordinates U and H-coordinates V, vertex (x, y) gets the class
-    O_U(x) x O_V(y), from the factors' `vertex_orbits` with U and V fixed.
-    At the root the class is joined with the swapped O_G(y) x O_H(x) when G
-    and H are the same graph.  That changes which minimum set is found,
-    never gamma.  The factors are oriented so the first has the larger
-    domination number (the orientation the final chain needs).  Reported
-    bounds use max/min, so they do not depend on the orientation, and
-    gammaProduct is orientation-free because the two orders give isomorphic
-    products.  A factor past graph6's 62 vertices is named `<n=N>`.
+    on the minimum set `solve_product` finds: the counting argument holds
+    for every dominating set D, and with |D| = gamma its chain bounds
+    gammaProduct itself, so any minimum set checks the theorem (only |C| and
+    k depend on which).  The factors are oriented so the first has the
+    larger domination number, as the final chain needs.  Reported bounds use
+    max/min, so they do not depend on the orientation, and gammaProduct is
+    orientation-free because the two orders give isomorphic products.  A
+    factor past graph6's 62 vertices is named `<n=N>`.
     """
     limits = limits or SolverLimits()
     rg = gamma_bb(g, limits)
@@ -158,7 +152,7 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     else:
         a, b, ra, rb = h, g, rh, rg
     pg = cartesian_product(a, b)
-    rprod = gamma_bb(pg.graph, limits, lexmin=False, symmetry=_product_classes(a, b))
+    rprod = solve_product(pg, limits)
     tr = build_trace(
         a, b, rprod.witness, gamma_g=ra, gamma_h=rb, limits=limits, product=pg
     )
@@ -183,6 +177,14 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
         trace_ok=verdict.all_passed,
         verdict=verdict,
     )
+
+
+def solve_product(pg: ProductGraph, limits: SolverLimits | None = None) -> DominationResult:
+    """The product's gamma and the minimum set that its traces replay: the
+    search's own set (no lexmin pass), found by branching on the orbit
+    classes of `_product_classes`, which change the set, never gamma."""
+    symmetry = _product_classes(pg.g, pg.h)
+    return gamma_bb(pg.graph, limits, lexmin=False, symmetry=symmetry)
 
 
 def _product_classes(a: Graph, b: Graph) -> Symmetry:

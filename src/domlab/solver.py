@@ -54,7 +54,7 @@ that covers what `covered` leaves, or reports that none exists.
 With `gamma_bb(..., symmetry=...)` `complete` also branches on orbits.  The
 symmetry input maps the picks of a node to classes: each class lies in one
 orbit of a group of automorphisms that fixes every pick, and the group of a
-child's picks is a subgroup of its parent's (`check_pair` builds the
+child's picks is a subgroup of its parent's (`solve_product` builds the
 product's classes from stabilizers in its factors).  The rule runs only in
 a call over every vertex (nothing covered, every vertex allowed): at each
 node that expands, once child c has been explored or skipped as dominated,
@@ -467,7 +467,7 @@ def gamma_bb(
     `symmetry` turns on orbital branching (module docstring).  It is a
     `Symmetry`: it maps each node's picks to classes, each inside one orbit
     of a group that fixes those picks and lies inside the parent node's
-    group; `harness.check_pair` passes one for the product.  It changes the
+    group; `harness.solve_product` passes one for the product.  It changes the
     search, never gamma; BadParameterError when it is not callable.  Raises
     BudgetExhaustedError, carrying the best upper bound seen, if the node
     budget runs out.  gamma_restricted solves over a subset of vertices.

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import domlab.harness
-from domlab import cli
+from domlab import cli, encode_graph6, enumerate_connected_graphs, gamma_bb
 from domlab.cli import build_parser, main
 
 
@@ -187,7 +187,7 @@ def test_trace_human_frozen(capsys):
     lines = out.splitlines()
     assert lines[0] == "trace: path:4 x complete:1"
     assert lines[1] == "gammaG=2 gammaH=1 |D|=2 k=2 |C|=2"
-    assert lines[2] == "U = [0, 2]"
+    assert lines[2] == "U = [1, 2]"
     assert sum(1 for x in lines if " PASS " in x) == 10
     assert lines[-2] == "contradiction_witness: none at every layer"
     assert lines[-1] == "result: all checks passed"
@@ -209,6 +209,20 @@ def test_trace_jsonl_names_a_factor_past_graph6_by_its_order(capsys):
     rec = json.loads(out)
     assert (rec["g6_G"], rec["g6_H"]) == ("<n=70>", "A_")
     assert rec["all_passed"] is True
+
+
+def test_trace_replays_the_set_check_with_trace_traces(capsys):
+    # Both commands trace the set `solve_product` finds, so with the factors
+    # already in check_pair's order (gamma(G) >= gamma(H)) they report the
+    # same ten checks, |C| and k included: 84 ordered pairs of the <= 4 corpus.
+    corpus = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+    gammas = {encode_graph6(g): gamma_bb(g).gamma for g in corpus}
+    pairs = [(a, b) for a in gammas for b in gammas if gammas[a] >= gammas[b]]
+    assert len(pairs) == 84
+    for a, b in pairs:
+        _, out, _ = run(capsys, "trace", a, b, "--format", "jsonl")
+        _, row, _ = run(capsys, "check", a, b, "--with-trace", "--format", "jsonl")
+        assert json.loads(out)["checks"] == json.loads(row)["trace_checks"], (a, b)
 
 
 def test_trace_with_explicit_dom_set(capsys, tmp_path):
@@ -276,11 +290,11 @@ def test_trace_inject_fault(capsys, monkeypatch):
 PINNED_OUTPUTS = [
     (
         ("trace", "grid:3x3", "cycle:4"),
-        "cd8cf4e6ae7a301a0aef4919cd571c53a19aa7f9fbdbf1200e00ae8210a032b9",
+        "220f2b358ac29419a21d97105e9ff570a71ee9345fadfa27e631f1fcc2e9ade0",
     ),
     (
         ("trace", "grid:3x3", "cycle:4", "--format", "jsonl"),
-        "53d44563878857abaec8674ffb6d52008577bc607425d129a82848036d2c088c",
+        "1755655d9efdc7a20fbcfb60d3946cf8905273237a2a71b07fdee7a47065c67a",
     ),
     (
         ("remark", "star:6", "star:6"),

@@ -389,6 +389,60 @@ def test_contradiction_witness_empty_on_valid_traces():
             assert contradiction_witness(t, v) is None
 
 
+def _trace_on_all_of_Q(t):
+    """Trace t with U = Q in place of a minimum dominating subset of Q, and
+    everything downstream of U recomputed naively."""
+    g, h = t.g, t.h
+    ref = recompute_from_U(g, h, set(t.D.members), t.Q.members)
+
+    def on_product(pairs):
+        return VertexSet.from_members(t.D.universe, {u * h.n + v for u, v in pairs})
+
+    def on_h(vs):
+        return VertexSet.from_members(h.n, vs)
+
+    return replace(
+        t,
+        U=t.Q.members,
+        k=len(t.Q),
+        pi=tuple(ref["pi"][w] for w in range(g.n)),
+        S=tuple(map(on_product, ref["S"])),
+        T=tuple(map(on_h, ref["T"])),
+        Dparts=tuple(map(on_product, ref["Dparts"])),
+        P=tuple(map(on_h, ref["P"])),
+        C=frozenset(ref["C"]),
+        Lsizes=tuple(ref["L"]),
+        Rsizes=tuple(ref["R"]),
+    )
+
+
+def test_contradiction_witness_finds_a_smaller_dominating_subset_of_Q():
+    # With U = Q dominating but not minimum, the bound |R_v| <= |Q_v| rests
+    # on nothing, and where it fails the scan must produce the smaller
+    # dominating subset of Q that U's minimality would have ruled out.
+    rng = random.Random(3)
+    hits = 0
+    for _ in range(8):
+        g = random_graph(rng, max_n=5)
+        h = random_graph(rng, max_n=5)
+        D = random_minimal_dominating_set(rng, cartesian_product(g, h).graph)
+        t = build_trace(g, h, D)
+        if t.k == len(t.Q):
+            continue  # Q is itself minimum
+        t = _trace_on_all_of_Q(t)
+        check_R = verify_trace(t).check("check_R")
+        for v in range(h.n):
+            w = contradiction_witness(t, v)
+            if w is None:
+                continue
+            hits += 1
+            assert any(x.startswith(f"v={v}:") for x in check_R.violations)
+            assert is_dominating(g, w)
+            assert w.issubset(t.Q)
+            assert len(w) < len(t.U)
+    assert hits == 14
+
+
 def test_contradiction_witness_layer_bounds():
     t = build_trace(path(3), path(3), VertexSet.full(9))
     with pytest.raises(BadVertexError):

@@ -43,6 +43,7 @@ FOREIGN_PRODUCT = (
 TRACE_TESTS = (
     "test_trace.py::test_ten_checks_pass_on_random_valid_instances", CORRUPTED_PIN
 )
+TRACE_AGREEMENT = "test_cli.py::test_trace_replays_the_set_check_with_trace_traces"
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -73,6 +74,8 @@ MUTANTS = (
      "if t.Rsizes[v] >= len(t.Qv[v]):", TRACE_TESTS),
     ("product-orders-only", "trace.py", "if pg.g != g or pg.h != h:",
      "if pg.g.n != g.n or pg.h.n != h.n:", (FOREIGN_PRODUCT,)),
+    ("trace-lexmin-product", "cli.py", "dom = solve_product(pg, limits).witness",
+     "dom = gamma_bb(pg.graph, limits).witness", (TRACE_AGREEMENT,)),
     ("enumerate-one-generator", "harness.py", "for p in (swap, rotate)[: min(n - 1, 2)]",
      "for p in (swap, rotate)[: min(n - 1, 1)]", ENUMERATION_TESTS),
 )
