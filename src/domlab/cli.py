@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit status: 0 on success, 1 when a report contains a violated bound or a
-failed trace check, 2 on usage errors (including malformed graph input),
-3 when a size guard or search budget stops the run; in `sweep` such a stop
-only makes its pair an error row, and the sweep goes on to exit 0 or 1.
+failed trace or remark check, 2 on usage errors (including malformed graph
+input), 3 when a size guard or search budget stops the run; in `sweep` such a
+stop only makes its pair an error row, and the sweep goes on to exit 0 or 1.
 
 Graph arguments accept a raw graph6 string, `@path` to a graph6 file (first
 graph is used), or a family spec: path:4, cycle:5, complete:3, star:5,
@@ -127,7 +127,7 @@ def _int_param(text: str, spec: str) -> int:
 def _family_range(spec: str) -> list[Graph]:
     """Family range for sweeps: e.g. paths:1..6 or cycles:3..8."""
     head, _, rest = spec.partition(":")
-    name = head.lower().rstrip("s")
+    name = head.lower().removesuffix("s")
     if name not in _FAMILIES:
         raise BadParameterError(f"unknown family {head!r} in {spec!r}")
     lo_text, sep, hi_text = rest.partition("..")
@@ -269,10 +269,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gamma(args) -> int:
+# Each `_cmd_*` returns the text to write and whether its report passed;
+# `main` writes the text and turns the verdict into exit status 0 or 1.
+
+
+def _cmd_gamma(args) -> tuple[str, bool]:
     g = resolve_graph(args.graph)
     result = gamma_bb(g, _limits(args))
-    witness = ", ".join(str(v) for v in result.witness)
     if args.format == "jsonl":
         payload = {
             "graph": args.graph,
@@ -281,26 +284,20 @@ def _cmd_gamma(args) -> int:
             "gamma": result.gamma,
             "witness": list(result.witness),
         }
-        _emit(args, json.dumps(payload) + "\n")
-    else:
-        _emit(
-            args,
-            f"graph: {args.graph} (n={g.n}, m={g.m})\n"
-            f"gamma: {result.gamma}\n"
-            f"witness: {{{witness}}}\n",
-        )
-    return 0
+        return json.dumps(payload) + "\n", True
+    witness = ", ".join(str(v) for v in result.witness)
+    return (
+        f"graph: {args.graph} (n={g.n}, m={g.m})\n"
+        f"gamma: {result.gamma}\n"
+        f"witness: {{{witness}}}\n"
+    ), True
 
 
-def _cmd_product(args) -> int:
-    g = resolve_graph(args.graph_g)
-    h = resolve_graph(args.graph_h)
-    pg = cartesian_product(g, h)
+def _cmd_product(args) -> tuple[str, bool]:
+    pg = cartesian_product(resolve_graph(args.graph_g), resolve_graph(args.graph_h))
     if args.format == "edges":
-        _emit(args, format_edge_list(pg.graph))
-    else:
-        _emit(args, encode_graph6(pg.graph) + "\n")
-    return 0
+        return format_edge_list(pg.graph), True
+    return encode_graph6(pg.graph) + "\n", True
 
 
 def _format_pair_human(report) -> str:
@@ -317,18 +314,16 @@ def _format_pair_human(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_records(args, reports) -> None:
-    """Emit the reports as CSV under its header, or as JSONL, per --format."""
+def _records_text(args, reports) -> str:
+    """The reports as CSV under its header, or as JSONL, per --format."""
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(pair_report_row(r) for r in reports)
-        text = buf.getvalue()
-    else:
-        records = (pair_report_dict(r, args.with_trace) for r in reports)
-        text = "".join(json.dumps(rec) + "\n" for rec in records)
-    _emit(args, text)
+        return buf.getvalue()
+    records = (pair_report_dict(r, args.with_trace) for r in reports)
+    return "".join(json.dumps(rec) + "\n" for rec in records)
 
 
 def _refuse_unread_with_trace(args) -> None:
@@ -336,16 +331,14 @@ def _refuse_unread_with_trace(args) -> None:
         raise BadParameterError("--with-trace needs --format jsonl")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[str, bool]:
     _refuse_unread_with_trace(args)
     g = resolve_graph(args.graph_g)
     h = resolve_graph(args.graph_h)
     report = check_pair(g, h, _limits(args))
     if args.format == "human":
-        _emit(args, _format_pair_human(report))
-    else:
-        _emit_records(args, [report])
-    return 1 if report.violated else 0
+        return _format_pair_human(report), not report.violated
+    return _records_text(args, [report]), not report.violated
 
 
 def _verdict_lines(verdict: TraceVerdict, *notes: str) -> list[str]:
@@ -357,7 +350,7 @@ def _verdict_lines(verdict: TraceVerdict, *notes: str) -> list[str]:
     ]
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> tuple[str, bool]:
     g = resolve_graph(args.graph_g)
     h = resolve_graph(args.graph_h)
     limits = _limits(args)
@@ -371,24 +364,22 @@ def _cmd_trace(args) -> int:
     # check_R fails exactly when some layer has a contradiction witness.
     witnesses_clear = verdict.check("check_R").passed
     if args.format == "jsonl":
-        _emit(args, json.dumps(trace_report(tr, verdict)) + "\n")
-    else:
-        lines = [
-            f"trace: {args.graph_g} x {args.graph_h}",
-            f"gammaG={tr.gammaG} gammaH={tr.gammaH} |D|={len(tr.D)}"
-            f" k={tr.k} |C|={len(tr.C)}",
-            f"U = [{', '.join(str(u) for u in tr.U)}]",
-        ]
-        lines += _verdict_lines(
-            verdict,
-            "contradiction_witness: "
-            + ("none at every layer" if witnesses_clear else "PRESENT"),
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if verdict.all_passed else 1
+        return json.dumps(trace_report(tr, verdict)) + "\n", verdict.all_passed
+    lines = [
+        f"trace: {args.graph_g} x {args.graph_h}",
+        f"gammaG={tr.gammaG} gammaH={tr.gammaH} |D|={len(tr.D)}"
+        f" k={tr.k} |C|={len(tr.C)}",
+        f"U = [{', '.join(str(u) for u in tr.U)}]",
+    ]
+    lines += _verdict_lines(
+        verdict,
+        "contradiction_witness: "
+        + ("none at every layer" if witnesses_clear else "PRESENT"),
+    )
+    return "\n".join(lines) + "\n", verdict.all_passed
 
 
-def _cmd_remark(args) -> int:
+def _cmd_remark(args) -> tuple[str, bool]:
     g = resolve_graph(args.graph_g)
     h = resolve_graph(args.graph_h)
     limits = _limits(args)
@@ -416,14 +407,11 @@ def _cmd_remark(args) -> int:
         lines += _verdict_lines(verdict)
         payload["remark_checks"] = [check_to_dict(c) for c in verdict.checks]
         payload["all_passed"] = verdict.all_passed
-    if args.format == "jsonl":
-        _emit(args, json.dumps(payload) + "\n")
-    else:
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    text = json.dumps(payload) if args.format == "jsonl" else "\n".join(lines)
+    return text + "\n", payload.get("all_passed", True)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[str, bool]:
     _refuse_unread_with_trace(args)
     if args.graph6:
         graphs = read_graph6_file(args.graph6)
@@ -433,32 +421,29 @@ def _cmd_sweep(args) -> int:
     result = sweep(pairs, _limits(args), jobs=args.jobs)
     reports = result.reports
     if args.format != "human":
-        _emit_records(args, reports)
-    else:
-        lines = []
-        for r in reports:
-            if r.error is not None:
-                lines.append(f"{r.g6_G} x {r.g6_H}: error: {r.error}")
-            else:
-                lines.append(
-                    f"{r.g6_G} x {r.g6_H}: gammaProduct={r.gammaProduct}"
-                    f" bound_new={r.bound_new} slack={r.slack_new}"
-                    f" trace_ok={'true' if r.trace_ok else 'false'}"
-                )
-        slack_text = ", ".join(f"{s}:{c}" for s, c in result.slack_counts.items())
-        lines.append(
-            f"pairs={len(reports)} errors={len(result.errors)}"
-            f" violations={len(result.violations)}"
-            f" min_slack={result.min_slack} slack_counts[{slack_text}]"
-        )
-        _emit(args, "\n".join(lines) + "\n")
-    return 1 if result.violations else 0
+        return _records_text(args, reports), not result.violations
+    lines = []
+    for r in reports:
+        if r.error is not None:
+            lines.append(f"{r.g6_G} x {r.g6_H}: error: {r.error}")
+        else:
+            lines.append(
+                f"{r.g6_G} x {r.g6_H}: gammaProduct={r.gammaProduct}"
+                f" bound_new={r.bound_new} slack={r.slack_new}"
+                f" trace_ok={'true' if r.trace_ok else 'false'}"
+            )
+    slack_text = ", ".join(f"{s}:{c}" for s, c in result.slack_counts.items())
+    lines.append(
+        f"pairs={len(reports)} errors={len(result.errors)}"
+        f" violations={len(result.violations)}"
+        f" min_slack={result.min_slack} slack_counts[{slack_text}]"
+    )
+    return "\n".join(lines) + "\n", not result.violations
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[str, bool]:
     graphs = enumerate_connected_graphs(args.n)
-    _emit(args, "".join(encode_graph6(g) + "\n" for g in graphs))
-    return 0
+    return "".join(encode_graph6(g) + "\n" for g in graphs), True
 
 
 _COMMANDS = {
@@ -480,13 +465,15 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version.
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        text, ok = _COMMANDS[args.command](args)
+        _emit(args, text)
     except (TooLargeError, SizeOverflowError, BudgetExhaustedError) as exc:
         print(f"domlab: {exc}", file=sys.stderr)
         return 3
     except (DomLabError, OSError) as exc:
         print(f"domlab: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -423,6 +423,27 @@ def test_remark_hit_runs_sharpened_checks(capsys):
     assert out.endswith("result: all checks passed\n")
 
 
+@pytest.mark.parametrize("fmt", ["human", "jsonl"])
+def test_remark_inject_fault(capsys, monkeypatch, fmt):
+    real = cli.remark_trace
+
+    def failing_sum(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        checks = tuple(
+            replace(c, passed=False) if c.name == "check_remark_sum" else c
+            for c in verdict.checks
+        )
+        return replace(verdict, checks=checks)
+
+    monkeypatch.setattr(cli, "remark_trace", failing_sum)
+    code, out, err = run(capsys, "remark", "path:3", "complete:1", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "jsonl":
+        assert json.loads(out)["all_passed"] is False
+    else:
+        assert out.endswith("result: CHECKS FAILED\n")
+
+
 def test_remark_jsonl_runs_on_a_factor_past_graph6(capsys):
     code, out, _ = run(capsys, "remark", "path:70", "path:2", "--format", "jsonl")
     assert code == 0
@@ -600,6 +621,26 @@ def test_bad_family_spec(capsys):
     code, _, err = run(capsys, "gamma", "zzz:4")
     assert code == 2
     assert "unknown graph family" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--family", "cycless:3..4"), "unknown family 'cycless'"),
+        (("sweep", "--family", "wheels:3..4"), "unknown family 'wheels'"),
+        (("sweep", "--family", "paths:3"), "family range must be name:LO..HI"),
+        (("sweep", "--family", "paths:5..3"), "empty range in 'paths:5..3'"),
+        (("gamma", "@EMPTY.g6"), "no graphs found in 'EMPTY.g6'"),
+    ],
+    ids=["double-plural", "unknown", "no-dots", "empty-range", "empty-file"],
+)
+def test_bad_graph_spec_is_one_error_line(capsys, monkeypatch, tmp_path, argv, message):
+    (tmp_path / "EMPTY.g6").write_text("")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("domlab: ") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize(

@@ -29,11 +29,13 @@ from domlab import (
     complete,
     cycle,
     encode_graph6,
+    gamma_bb,
     grid,
     is_dominating,
     make_graph,
     path,
     random_gnp,
+    solve_product,
     star,
     vertex_orbits,
 )
@@ -96,6 +98,10 @@ def test_vertex_set_out_of_range_member_rejected():
         VertexSet.from_members(3, [3])
     with pytest.raises(BadVertexError):
         VertexSet.from_members(3, [-1])
+    with pytest.raises(BadVertexError, match="outside 0..2"):
+        VertexSet(3, 0b1000)
+    with pytest.raises(BadParameterError, match="nonnegative"):
+        VertexSet(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +122,15 @@ def test_make_graph_basic_accessors():
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraphError):
         make_graph(0, [])
+    with pytest.raises(EmptyGraphError):
+        Graph(0, [])
 
 
 def test_self_loop_rejected():
     with pytest.raises(BadEdgeError):
         make_graph(3, [(1, 1)])
+    with pytest.raises(BadEdgeError, match="self-loop at vertex 0"):
+        Graph(2, [1, 0])
 
 
 def test_edge_out_of_range_rejected():
@@ -128,6 +138,10 @@ def test_edge_out_of_range_rejected():
         make_graph(3, [(0, 3)])
     with pytest.raises(BadEdgeError):
         make_graph(3, [(-1, 0)])
+    with pytest.raises(BadEdgeError, match="row 0 has bits outside 0..2"):
+        Graph(3, [0b1000, 0, 0])
+    with pytest.raises(BadEdgeError, match="expected 2 adjacency rows, got 1"):
+        Graph(2, [0])
 
 
 def test_asymmetric_edge_rejected():
@@ -410,10 +424,21 @@ def brute_force_automorphisms(g):
     ]
 
 
+# C3 + C4 and its complement (connected, 4-regular) are regular, so colour
+# refinement leaves all seven vertices one colour; only a failed search
+# keeps the triangle's orbit apart from the square's.
+C3_C4 = make_graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+C3_C4_COMPLEMENT = make_graph(
+    7, set(itertools.combinations(range(7), 2)) - set(C3_C4.edges())
+)
+
+
 def test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers():
     # The orbits of the automorphisms that fix each vertex of a set, for
-    # every set of vertices of every connected graph on <= 6 vertices.
+    # every set of vertices of every connected graph on <= 6 vertices, and
+    # of the two regular graphs above.
     graphs = [g for n in range(1, 7) for g in harness.enumerate_connected_graphs(n)]
+    graphs += [C3_C4, C3_C4_COMPLEMENT]
     checked = 0
     for g in graphs:
         autos = [
@@ -429,10 +454,17 @@ def test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers():
             got = vertex_orbits(g, VertexSet(g.n, fixed))
             assert [cls.mask for cls in got] == want, (encode_graph6(g), fixed)
             checked += 1
-    assert checked == 7_958
+    assert checked == 8_214
     assert vertex_orbits(path(5), VertexSet(5)) == vertex_orbits(path(5))
     with pytest.raises(BadVertexError):
         vertex_orbits(path(5), VertexSet.full(4))
+
+
+def test_solve_product_where_only_a_failed_search_splits_orbits():
+    # Were the triangle and the square one orbit, the product search would
+    # skip branches it needs and answer 5.
+    pg = cartesian_product(C3_C4_COMPLEMENT, cycle(4))
+    assert solve_product(pg).gamma == gamma_bb(pg.graph).gamma == 4
 
 
 SIZES = [*range(1, 13), 16, 20, 25, 30]

@@ -44,6 +44,11 @@ TRACE_TESTS = (
     "test_trace.py::test_ten_checks_pass_on_random_valid_instances", CORRUPTED_PIN
 )
 TRACE_AGREEMENT = "test_cli.py::test_trace_replays_the_set_check_with_trace_traces"
+REMARK_FAULT = "test_cli.py::test_remark_inject_fault"
+ORBIT_TESTS = (
+    "test_graphs.py::test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers",
+    "test_graphs.py::test_solve_product_where_only_a_failed_search_splits_orbits",
+)
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -78,6 +83,10 @@ MUTANTS = (
      "dom = gamma_bb(pg.graph, limits).witness", (TRACE_AGREEMENT,)),
     ("enumerate-one-generator", "harness.py", "for p in (swap, rotate)[: min(n - 1, 2)]",
      "for p in (swap, rotate)[: min(n - 1, 1)]", ENUMERATION_TESTS),
+    ("remark-exit-ignores-verdict", "cli.py", 'payload.get("all_passed", True)', "True",
+     (REMARK_FAULT,)),
+    ("orbit-merge-on-failed-search", "graphs.py", "failed.add(ry)", "root[ry] = x",
+     ORBIT_TESTS),
 )
 
 
