@@ -17,6 +17,19 @@ has gamma 1 and bound_ST_body 2).  It stays a CSV column, a JSONL key and a
 human field until the benchmark reference is regenerated.  Ceilings are taken
 because domination numbers are integers.
 
+A sweep solves each product with a floor: the larger of gamma(G x K_|H|)
+and gamma(K_|G| x H), exact domination numbers of two other products.  H
+is a spanning subgraph of K_|H|, so a dominating set of G x H dominates
+G x K_|H| too, and each is at most gamma(G x H).  gamma(G x K_m) is the
+m-rainbow domination number of G (Bresar, Henning and Rall, Taiwanese J.
+Math. 2008) and depends only on G and m, so one solve per (graph, order)
+serves every pair, cached for the process.  The floor lets the product's
+search skip its proof call (see `solver`), which leaves every report as
+`check_pair` alone gives it.  It reads no factor's gamma, no bound and no
+report, so the check stays non-circular: each side is the exact gamma of
+another product, found by its own complete search (for |H| = 1 that
+product is G x K_1, G itself).
+
 A report's schema is `PairReport`'s field order.  A JSONL record is every
 field but the verdict, in order; a CSV row also drops bound_conjecture and
 error, and heads gammaProduct `gammaProd`.
@@ -30,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence
 
-from .errors import BadParameterError, TooLargeError
+from .errors import BadParameterError, DomLabError, TooLargeError
 from .graph6 import graph_name
 from .graphs import (
     Graph,
@@ -39,6 +52,7 @@ from .graphs import (
     _project,
     _spread,
     cartesian_product,
+    complete,
     make_graph,
     vertex_orbits,
 )
@@ -46,6 +60,7 @@ from .solver import (
     DominationResult,
     SolverLimits,
     Symmetry,
+    _solve,
     enumerate_minimum_dominating_sets,
     gamma_bb,
     is_minimal_dominating,
@@ -131,7 +146,9 @@ class SweepResult:
         return not self.violations
 
 
-def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairReport:
+def check_pair(
+    g: Graph, h: Graph, limits: SolverLimits | None = None, *, floor: int = 0
+) -> PairReport:
     """Solve one pair exactly and verify the counting argument on it.
 
     Both domination numbers and the product's are exact.  The trace is built
@@ -142,7 +159,9 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     larger domination number, as the final chain needs.  Reported bounds use
     max/min, so they do not depend on the orientation, and gammaProduct is
     orientation-free because the two orders give isomorphic products.  A
-    factor past graph6's 62 vertices is named `<n=N>`.
+    factor past graph6's 62 vertices is named `<n=N>`.  `floor`, a proven
+    lower bound on gammaProduct, goes to `solve_product` (`sweep` passes
+    one; see the module docstring).
     """
     limits = limits or SolverLimits()
     rg = gamma_bb(g, limits)
@@ -152,7 +171,7 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     else:
         a, b, ra, rb = h, g, rh, rg
     pg = cartesian_product(a, b)
-    rprod = solve_product(pg, limits)
+    rprod = solve_product(pg, limits, floor=floor)
     tr = build_trace(
         a, b, rprod.witness, gamma_g=ra, gamma_h=rb, limits=limits, product=pg
     )
@@ -179,12 +198,41 @@ def check_pair(g: Graph, h: Graph, limits: SolverLimits | None = None) -> PairRe
     )
 
 
-def solve_product(pg: ProductGraph, limits: SolverLimits | None = None) -> DominationResult:
+def solve_product(
+    pg: ProductGraph, limits: SolverLimits | None = None, *, floor: int = 0
+) -> DominationResult:
     """The product's gamma and the minimum set that its traces replay: the
     search's own set (no lexmin pass), found by branching on the orbit
-    classes of `_product_classes`, which change the set, never gamma."""
+    classes of `_product_classes`, which change the set, never gamma.  A
+    `floor` skips the proof call and changes neither (see `solver`)."""
     symmetry = _product_classes(pg.g, pg.h)
-    return gamma_bb(pg.graph, limits, lexmin=False, symmetry=symmetry)
+    return gamma_bb(pg.graph, limits, lexmin=False, symmetry=symmetry, floor=floor)
+
+
+# 858 entries serve the <= 6 corpus, 6,972 the <= 7 one.
+@functools.lru_cache(maxsize=8192)
+def _complete_floor(g: Graph, m: int, node_budget: int) -> int:
+    """gamma(g x K_m), a lower bound on gamma(g x H) for every H on m
+    vertices (module docstring), or 0 when its solve raises a DomLabError
+    (budget or size guard).  The engine's own search, with the product's
+    symmetry and no witness pass; it calls `_solve` rather than `gamma_bb`,
+    so the factor and product solves stay the three `gamma_bb` calls of
+    each pair."""
+    try:
+        pg = cartesian_product(g, complete(m))
+        symmetry = _product_classes(pg.g, pg.h)
+        result = _solve(
+            pg.graph, pg.graph.full_mask, node_budget, lexmin=False, symmetry=symmetry
+        )
+    except DomLabError:
+        return 0
+    return result.gamma
+
+
+def _pair_floor(g: Graph, h: Graph, limits: SolverLimits) -> int:
+    """The floor a sweep passes to `check_pair` for the pair (g, h)."""
+    budget = limits.node_budget
+    return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))
 
 
 def _product_classes(a: Graph, b: Graph) -> Symmetry:
@@ -256,10 +304,10 @@ def _stabilizer_orbits(
     return orbits
 
 
-def _checked_pair(args: tuple[Graph, Graph, SolverLimits]) -> PairReport:
-    g, h, limits = args
+def _checked_pair(args: tuple[Graph, Graph, SolverLimits, int]) -> PairReport:
+    g, h, limits, floor = args
     try:
-        return check_pair(g, h, limits)
+        return check_pair(g, h, limits, floor=floor)
     except Exception as exc:
         # One failed pair, even RecursionError or MemoryError, becomes an
         # error row; the rest of the sweep goes on.
@@ -295,14 +343,21 @@ def sweep(
 ) -> SweepResult:
     """Run check_pair over many pairs, recording per-pair errors.
 
-    Output order always matches input order; `jobs` is capped at the CPU count.
-    BadParameterError when `jobs` is less than 1.
+    Each pair's product is solved with the floor max(gamma(G x K_|H|),
+    gamma(K_|G| x H)) (module docstring).  Floors are computed in this
+    process before the first pair is checked, never in a worker, and each
+    side is cached per (graph, order, node budget); a side whose solve
+    fails is 0.  The floor skips only the product's proof call, so every
+    report is the one `check_pair` gives alone, except that a pair whose
+    proof call would have run out of nodes may now finish.
+    Output order always matches input order; `jobs` is capped at the CPU
+    count.  BadParameterError when `jobs` is less than 1.
     """
     if jobs < 1:
         raise BadParameterError(f"jobs must be at least 1, got {jobs}")
     limits = limits or SolverLimits()
     jobs = min(jobs, os.cpu_count() or 1)
-    work = [(g, h, limits) for g, h in pairs]
+    work = [(g, h, limits, _pair_floor(g, h, limits)) for g, h in pairs]
     if jobs <= 1:
         reports = [_checked_pair(w) for w in work]
     else:

@@ -104,6 +104,16 @@ a vertex in that set is kept without a search.  A caller that needs only
 some minimum set (`gamma_bb(..., lexmin=False)`) gets `minimize`'s own set
 and skips the pass.
 
+With a `floor` (`gamma_bb(..., floor=k)`), `minimize` also stops once its
+set has `floor` members.  The call it skips is the last one, the proof
+call that fails and so shows no smaller set exists; a failed call never
+touches the set found, so gamma, the set and everything read from it stay
+as they were, and only the nodes of that call are saved (a search whose
+proof call would run out of nodes may so finish).  The caller
+vouches for the floor: it must be a proven lower bound on gamma, found
+without the theorem under test (`harness.sweep` takes the exact gamma of
+another product), or the answer is wrong.
+
 Minimum-set enumeration is a second explicit-stack search over the same
 `_scan`, run by the engine that found gamma and charged to the same node
 budget.  It picks vertices in ascending order, so it yields the size-gamma
@@ -267,13 +277,16 @@ class _BranchAndBound:
         cands.sort()
         return cands
 
-    def minimize(self, allowed: int) -> int:
-        """Exact minimum dominating-set size over the `allowed` candidates."""
+    def minimize(self, allowed: int, floor: int = 0) -> int:
+        """Exact minimum dominating-set size over the `allowed` candidates,
+        given that it is at least `floor` (module docstring)."""
         best = _greedy_cover(self.closed, self.full, allowed)
         if best is None:
             raise NotDominatingError("candidate set does not dominate the graph")
         self.best_mask = best
-        while (found := self.complete(0, allowed, best.bit_count() - 1)) is not None:
+        while best.bit_count() > floor and (
+            found := self.complete(0, allowed, best.bit_count() - 1)
+        ) is not None:
             self.best_mask = best = found
         return best.bit_count()
 
@@ -419,9 +432,10 @@ def _solve(
     node_budget: int,
     lexmin: bool = True,
     symmetry: Symmetry | None = None,
+    floor: int = 0,
 ) -> DominationResult:
     engine = _BranchAndBound(g, node_budget, symmetry)
-    gamma = engine.minimize(candidates)
+    gamma = engine.minimize(candidates, floor)
     witness = engine.lexmin_witness(candidates) if lexmin else engine.best_mask
     return DominationResult(gamma, VertexSet(g.n, witness))
 
@@ -455,6 +469,7 @@ def gamma_bb(
     *,
     lexmin: bool = True,
     symmetry: Symmetry | None = None,
+    floor: int = 0,
 ) -> DominationResult:
     """Exact domination number via branch-and-bound.
 
@@ -471,13 +486,18 @@ def gamma_bb(
     search, never gamma; BadParameterError when it is not callable.  Raises
     BudgetExhaustedError, carrying the best upper bound seen, if the node
     budget runs out.  gamma_restricted solves over a subset of vertices.
+
+    `floor` stops the search once its set has that many members, which
+    skips the proof call and changes neither gamma nor the witness.  It
+    must be a proven lower bound on gamma (module docstring); a larger one
+    makes the answer wrong.
     """
     limits = limits or SolverLimits()
     if symmetry is not None and not callable(symmetry):
         raise BadParameterError(
             f"symmetry must map picks to classes, got {type(symmetry).__name__}"
         )
-    return _solve(g, g.full_mask, limits.node_budget, lexmin, symmetry)
+    return _solve(g, g.full_mask, limits.node_budget, lexmin, symmetry, floor)
 
 
 def gamma_restricted(

@@ -339,10 +339,10 @@ def test_sweep_records_unexpected_exceptions_as_errors(monkeypatch):
     clean = sweep(pairs)
     real_check_pair = domlab.harness.check_pair
 
-    def check_pair_failing_on_p3(g, h, limits):
+    def check_pair_failing_on_p3(g, h, limits, *, floor):
         if h == path(3):
             raise RecursionError("maximum recursion depth exceeded")
-        return real_check_pair(g, h, limits)
+        return real_check_pair(g, h, limits, floor=floor)
 
     monkeypatch.setattr(domlab.harness, "check_pair", check_pair_failing_on_p3)
     res = sweep(pairs)
@@ -357,6 +357,60 @@ def test_sweep_budget_error_is_per_pair():
     res = sweep([(path(6), path(6))], limits=SolverLimits(node_budget=3))
     assert res.errors == (0,)
     assert "BudgetExhaustedError" in res.reports[0].error
+
+
+def test_sweep_floors_never_exceed_the_exact_gamma(small_connected_corpus, full_sweep):
+    # Each side of a pair's floor is the exact gamma of G x K_|H| or
+    # K_|G| x H, which every dominating set of G x H dominates too.  Both
+    # stay at or below the product's gamma, checked here by the oracle (or
+    # gamma_bb past its 16 vertices), and so does the sweep's own answer.
+    # On 473 of the 496 pairs the floor is exact: a weaker one moves that.
+    budget = SolverLimits().node_budget
+    exact = 0
+    pairs = all_pairs(small_connected_corpus)
+    for (g, h), r in zip(pairs, full_sweep.result.reports):
+        pg = cartesian_product(g, h).graph
+        gamma = (gamma_oracle if pg.n <= 16 else gamma_bb)(pg).gamma
+        sides = (
+            domlab.harness._complete_floor(g, h.n, budget),
+            domlab.harness._complete_floor(h, g.n, budget),
+        )
+        floor = domlab.harness._pair_floor(g, h, SolverLimits())
+        assert floor == max(sides) <= gamma == r.gammaProduct, (g, h)
+        exact += floor == r.gammaProduct
+    assert exact == 473
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_with_floors_reports_what_check_pair_reports(
+    small_connected_corpus, full_sweep, jobs
+):
+    # The floor skips only the product's proof call, which fails without
+    # touching the set found: every row, record and trace check is the one
+    # check_pair gives without a floor, serial or through the worker pool.
+    pairs = all_pairs(small_connected_corpus)
+    alone = [check_pair(g, h) for g, h in pairs]
+    swept = full_sweep.result if jobs == 1 else sweep(pairs, jobs=jobs)
+    assert [pair_report_row(r) for r in swept.reports] == [
+        pair_report_row(r) for r in alone
+    ]
+    assert [pair_report_dict(r, with_verdict=True) for r in swept.reports] == [
+        pair_report_dict(r, with_verdict=True) for r in alone
+    ]
+
+
+def test_sweep_floor_is_zero_when_its_solve_runs_out_of_nodes():
+    # Three nodes are too few for the K_m solves: the floor falls back to 0
+    # and each row is the one of a sweep without floors.
+    limits = SolverLimits(node_budget=3)
+    pairs = all_pairs([path(1), path(2), path(6)])
+    assert domlab.harness._pair_floor(path(6), path(6), limits) == 0
+    res = sweep(pairs, limits=limits)
+    assert [pair_report_row(r) for r in res.reports] == [
+        pair_report_row(domlab.harness._checked_pair((g, h, limits, 0)))
+        for g, h in pairs
+    ]
+    assert res.errors
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import hashlib
 import inspect
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -415,6 +416,36 @@ def test_solver_does_not_assume_the_theorem_it_checks():
     for name in imported:
         assert not {"harness", "trace"} & set(name.split(".")), name
     assert "bound_new" not in source
+
+
+def test_sweep_floor_does_not_assume_the_theorem_it_checks():
+    # The floor a sweep hands the product's search is the exact gamma of
+    # another product, G x K_m, found by its own complete search: its
+    # helpers name no bound, no factor's gamma and no slack.
+    for fn in (domlab.harness._complete_floor, domlab.harness._pair_floor):
+        source = inspect.getsource(fn)
+        assert not re.search(r"bound_|gammaG|gammaH|slack_new", source), fn
+    assert "cartesian_product(g, complete(m))" in inspect.getsource(
+        domlab.harness._complete_floor
+    )
+
+
+def test_floor_skips_only_the_proof_call():
+    # A floor at gamma stops minimize at its first set of that size, so the
+    # failing proof call is skipped (grid 6x6: 221 nodes down to 19); gamma
+    # and the set found stay those of the full search, as they do under
+    # every lower floor and with the witness pass.
+    g = grid(6, 6)
+    found = gamma_bb(g, lexmin=False)
+    assert found.gamma == 10
+    with pytest.raises(BudgetExhaustedError):
+        gamma_bb(g, SolverLimits(node_budget=220), lexmin=False)
+    for floor in range(11):
+        assert gamma_bb(g, lexmin=False, floor=floor) == found
+    assert gamma_bb(g, SolverLimits(node_budget=19), lexmin=False, floor=10) == found
+    with pytest.raises(BudgetExhaustedError):
+        gamma_bb(g, SolverLimits(node_budget=18), lexmin=False, floor=10)
+    assert gamma_bb(g, floor=10) == gamma_bb(g)
 
 
 def test_long_path_witness_pass_starts_from_the_minimum_set():

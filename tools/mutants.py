@@ -49,6 +49,7 @@ ORBIT_TESTS = (
     "test_graphs.py::test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers",
     "test_graphs.py::test_solve_product_where_only_a_failed_search_splits_orbits",
 )
+FLOOR_TEST = "test_harness.py::test_sweep_floors_never_exceed_the_exact_gamma"
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -87,6 +88,10 @@ MUTANTS = (
      (REMARK_FAULT,)),
     ("orbit-merge-on-failed-search", "graphs.py", "failed.add(ry)", "root[ry] = x",
      ORBIT_TESTS),
+    ("floor-one-too-high", "harness.py",
+     "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))",
+     "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget)) + 1",
+     (FLOOR_TEST,)),
 )
 
 
