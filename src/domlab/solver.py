@@ -22,10 +22,11 @@ that covers what `covered` leaves, or reports that none exists.
     finish is never sorted or compared with its siblings.  Every pushed
     child meets the bound, so the node test (more than `reach[slots]`
     uncovered: dead before the walk) fires only on the first node of a
-    call, where it saves the walk.  Both cuts drop only subtrees that hold
-    no solution, so the search finds the same first set.  `reach` reads
-    only the graph's degrees, never a factor's gamma or a bound under test,
-    so a search that checks such a bound does not assume it;
+    call, where it saves the walk and keeps a call with no slots from
+    reading `reach[-1]`.  Both cuts drop only subtrees that hold no
+    solution, so the search finds the same first set.  `reach` reads only
+    the graph's degrees, never a factor's gamma or a bound under test, so
+    a search that checks such a bound does not assume it;
   * children are eligible dominators, ordered by descending fresh coverage
     with index as the tie-break; an explored child leaves the eligible set
     of its later siblings (its own subtree covered every solution with it);
@@ -36,18 +37,6 @@ that covers what `covered` leaves, or reports that none exists.
     solution that uses it into one the sibling's subtree covers.  The
     ordering puts every dominating sibling first (equal sets: the earlier
     one is kept);
-  * the last pick has a closed form.  At one slot the counting bound keeps
-    a child only when its fresh coverage is everything left (`reach[0]` is
-    0), so every kept child has the same fresh set and each after the
-    first, the lowest index, is dominated.  A vertex that covers the rest
-    dominates every uncovered vertex, so that first child is the lowest
-    eligible dominator of the lowest uncovered vertex whose closed
-    neighbourhood holds the rest.  `complete` returns it at once and
-    charges the one node the child would take; with no such vertex the
-    node is dead.  The walk has nothing to add: a node it finds dead has
-    no such vertex either.  Nor has the orbit rule (below), which acts only
-    on later siblings.  So the nodes visited, their count and the set found
-    are those of the general step;
   * the search keeps its own stack and pushes children in reverse, so it
     visits nodes in recursion order without using Python's call stack.
 
@@ -307,22 +296,8 @@ class _BranchAndBound:
             self._tick()
             if covered == full:
                 return picks
-            rest = full & ~covered
-            uncovered = rest.bit_count()
+            uncovered = (full & ~covered).bit_count()
             if uncovered > reach[slots]:
-                continue
-            if slots == 1:
-                # The last pick must cover the rest on its own (module
-                # docstring): the lowest such dominator of any uncovered
-                # vertex is the one child the general step would push, and
-                # the tick is that child's node.
-                m = closed[(rest & -rest).bit_length() - 1] & allowed
-                while m:
-                    bit = m & -m
-                    if rest & ~closed[bit.bit_length() - 1] == 0:
-                        self._tick()
-                        return picks | bit
-                    m ^= bit
                 continue
             w = _scan(closed, full, covered, allowed, slots)
             if w < 0:

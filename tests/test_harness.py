@@ -37,6 +37,7 @@ from domlab import (
     parse_graph6,
     path,
     remark_search,
+    solve_product,
     star,
     sweep,
     zip_pairs,
@@ -195,6 +196,30 @@ def test_check_pair_matches_milp_on_36_vertex_products():
         r = check_pair(g, h)
         assert len(milp_gamma(cartesian_product(g, h).graph)) == r.gammaProduct
         assert r.trace_ok
+
+
+def _hypercube(k):
+    cube = path(2)
+    for _ in range(k - 1):
+        cube = cartesian_product(cube, path(2)).graph
+    return cube
+
+
+@pytest.mark.parametrize("a, b, gamma", [(2, 3, 7), (3, 3, 12), (2, 4, 12), (3, 4, 16)])
+def test_hypercube_products_match_the_covering_codes(a, b, gamma):
+    # Q_a x Q_b is Q_{a+b}, whose gamma is the least binary covering code
+    # of radius 1 (OEIS A000983): 7, 12 and 16 at n = 5, 6 and 7.  Their
+    # groups are the largest of any anchor, so the stabilizers and the root
+    # swap of the orbit rule all act; the plain search must agree.
+    pg = cartesian_product(_hypercube(a), _hypercube(b))
+    assert solve_product(pg).gamma == gamma
+    assert gamma_bb(pg.graph, lexmin=False).gamma == gamma
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (3, 4)])
+def test_check_pair_traces_hypercube_products(a, b):
+    r = check_pair(_hypercube(a), _hypercube(b))
+    assert r.trace_ok and not r.violated
 
 
 def test_check_pair_traces_a_minimum_set(full_sweep):
@@ -397,6 +422,27 @@ def test_sweep_with_floors_reports_what_check_pair_reports(
     assert [pair_report_dict(r, with_verdict=True) for r in swept.reports] == [
         pair_report_dict(r, with_verdict=True) for r in alone
     ]
+
+
+def test_sweep_solves_only_floor_sides_that_two_pairs_ask_for(
+    small_connected_corpus, monkeypatch
+):
+    # A side that one pair reads costs about what it saves.  Each graph of
+    # a zip stream is in one pair, so no side repeats: from cold caches the
+    # first sweep solves none, and its reports are check_pair's own.  A
+    # second sweep asks for every side again, and solves each once.
+    pairs = zip_pairs(small_connected_corpus[1:])
+    floor = domlab.harness._complete_floor
+    floor.cache_clear()
+    monkeypatch.setattr(domlab.harness, "_asked_sides", set())
+    res = sweep(pairs)
+    assert floor.cache_info().misses == 0
+    assert [pair_report_row(r) for r in res.reports] == [
+        pair_report_row(check_pair(g, h)) for g, h in pairs
+    ]
+    again = sweep(pairs)
+    assert floor.cache_info().misses == 2 * len(pairs)
+    assert again.reports == res.reports
 
 
 def test_sweep_floor_is_zero_when_its_solve_runs_out_of_nodes():

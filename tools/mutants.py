@@ -50,6 +50,9 @@ ORBIT_TESTS = (
     "test_graphs.py::test_solve_product_where_only_a_failed_search_splits_orbits",
 )
 FLOOR_TEST = "test_harness.py::test_sweep_floors_never_exceed_the_exact_gamma"
+FLOOR_REUSE_TEST = (
+    "test_harness.py::test_sweep_solves_only_floor_sides_that_two_pairs_ask_for"
+)
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -63,10 +66,6 @@ MUTANTS = (
      SEARCH_TESTS + ENUMERATOR_TESTS),
     ("enumerator-children-ascending", "solver.py", "for v in range(last, i - 1, -1)",
      "for v in range(i, last + 1)", ENUMERATOR_TESTS),
-    ("last-pick-highest-dominator", "solver.py",
-     "bit = m & -m\n                    if rest & ~closed",
-     "bit = 1 << m.bit_length() - 1\n                    if rest & ~closed",
-     SEARCH_TESTS),
     ("reach-cut-at-equality", "solver.py", "if uncovered > reach[slots]:",
      "if uncovered >= reach[slots]:", SEARCH_TESTS),
     ("orbits-outside-the-root", "solver.py",
@@ -92,6 +91,8 @@ MUTANTS = (
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))",
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget)) + 1",
      (FLOOR_TEST,)),
+    ("floor-side-on-first-request", "harness.py", "if k > 1 or side in _asked_sides",
+     "if k > 0 or side in _asked_sides", (FLOOR_REUSE_TEST,)),
 )
 
 
