@@ -22,14 +22,13 @@ and gamma(K_|G| x H), exact domination numbers of two other products.  H
 is a spanning subgraph of K_|H|, so a dominating set of G x H dominates
 G x K_|H| too, and each is at most gamma(G x H).  gamma(G x K_m) is the
 m-rainbow domination number of G (Bresar, Henning and Rall, Taiwanese J.
-Math. 2008) and depends only on G and m, so one solve per (graph, order),
-made once two pairs ask for it and cached for the process, serves every
-pair; a side that one pair reads would cost about what it saves, and is
-0.  The floor lets the product's search skip its proof call (see
-`solver`), which leaves every report as `check_pair` alone gives it.  It
-reads no factor's gamma, no bound and no report, so the check stays
-non-circular: each side is the exact gamma of another product, found by
-its own complete search (for |H| = 1 that product is G x K_1, G itself).
+Math. 2008) and depends only on G and m, so one solve per (graph, order)
+serves every pair, cached for the process.  The floor lets the product's
+search skip its proof call (see `solver`), which leaves every report as
+`check_pair` alone gives it.  It reads no factor's gamma, no bound and no
+report, so the check stays non-circular: each side is the exact gamma of
+another product, found by its own complete search (for |H| = 1 that
+product is G x K_1, G itself).
 
 A report's schema is `PairReport`'s field order.  A JSONL record is every
 field but the verdict, in order; a CSV row also drops bound_conjecture and
@@ -231,30 +230,9 @@ def _complete_floor(g: Graph, m: int, node_budget: int) -> int:
 
 
 def _pair_floor(g: Graph, h: Graph, limits: SolverLimits) -> int:
-    """The floor of the pair (g, h) with both sides solved."""
+    """The floor a sweep passes to `check_pair` for the pair (g, h)."""
     budget = limits.node_budget
     return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))
-
-
-# The (graph, order) sides that earlier sweeps in this process asked for.
-_asked_sides: set[tuple[Graph, int]] = set()
-
-
-def _sweep_floors(pairs: list[tuple[Graph, Graph]], limits: SolverLimits) -> list[int]:
-    """Each pair's floor, where a side is solved only once two pairs ask for
-    it, in this sweep or with an earlier one; any other side is 0.  The
-    record of earlier asks is emptied before it would outgrow the cache."""
-    sides = [{(g, h.n), (h, g.n)} for g, h in pairs]
-    asks = Counter(side for pair in sides for side in pair)
-    reused = {side for side, k in asks.items() if k > 1 or side in _asked_sides}
-    if len(_asked_sides) + len(asks) > _complete_floor.cache_info().maxsize:
-        _asked_sides.clear()
-    _asked_sides.update(asks)
-    budget = limits.node_budget
-    return [
-        max([_complete_floor(g, m, budget) for g, m in pair & reused] + [0])
-        for pair in sides
-    ]
 
 
 def _product_classes(a: Graph, b: Graph) -> Symmetry:
@@ -367,21 +345,19 @@ def sweep(
 
     Each pair's product is solved with the floor max(gamma(G x K_|H|),
     gamma(K_|G| x H)) (module docstring).  Floors are computed in this
-    process before the first pair is checked, never in a worker; a side
-    is solved once two pairs ask for it (`_sweep_floors`) and cached per
-    (graph, order, node budget), and is 0 until then or when its solve
-    fails.  The floor skips only the product's proof call, so every
+    process before the first pair is checked, never in a worker, and each
+    side is cached per (graph, order, node budget); a side whose solve
+    fails is 0.  The floor skips only the product's proof call, so every
     report is the one `check_pair` gives alone, except that a pair whose
-    proof call would have run out of nodes may now finish.  Output order
-    always matches input order; `jobs` is capped at the CPU count.
-    BadParameterError when `jobs` is less than 1.
+    proof call would have run out of nodes may now finish.
+    Output order always matches input order; `jobs` is capped at the CPU
+    count.  BadParameterError when `jobs` is less than 1.
     """
     if jobs < 1:
         raise BadParameterError(f"jobs must be at least 1, got {jobs}")
     limits = limits or SolverLimits()
     jobs = min(jobs, os.cpu_count() or 1)
-    pairs = list(pairs)
-    work = [(*p, limits, f) for p, f in zip(pairs, _sweep_floors(pairs, limits))]
+    work = [(g, h, limits, _pair_floor(g, h, limits)) for g, h in pairs]
     if jobs <= 1:
         reports = [_checked_pair(w) for w in work]
     else:

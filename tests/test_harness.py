@@ -424,27 +424,6 @@ def test_sweep_with_floors_reports_what_check_pair_reports(
     ]
 
 
-def test_sweep_solves_only_floor_sides_that_two_pairs_ask_for(
-    small_connected_corpus, monkeypatch
-):
-    # A side that one pair reads costs about what it saves.  Each graph of
-    # a zip stream is in one pair, so no side repeats: from cold caches the
-    # first sweep solves none, and its reports are check_pair's own.  A
-    # second sweep asks for every side again, and solves each once.
-    pairs = zip_pairs(small_connected_corpus[1:])
-    floor = domlab.harness._complete_floor
-    floor.cache_clear()
-    monkeypatch.setattr(domlab.harness, "_asked_sides", set())
-    res = sweep(pairs)
-    assert floor.cache_info().misses == 0
-    assert [pair_report_row(r) for r in res.reports] == [
-        pair_report_row(check_pair(g, h)) for g, h in pairs
-    ]
-    again = sweep(pairs)
-    assert floor.cache_info().misses == 2 * len(pairs)
-    assert again.reports == res.reports
-
-
 def test_sweep_floor_is_zero_when_its_solve_runs_out_of_nodes():
     # Three nodes are too few for the K_m solves: the floor falls back to 0
     # and each row is the one of a sweep without floors.

@@ -50,9 +50,6 @@ ORBIT_TESTS = (
     "test_graphs.py::test_solve_product_where_only_a_failed_search_splits_orbits",
 )
 FLOOR_TEST = "test_harness.py::test_sweep_floors_never_exceed_the_exact_gamma"
-FLOOR_REUSE_TEST = (
-    "test_harness.py::test_sweep_solves_only_floor_sides_that_two_pairs_ask_for"
-)
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -91,8 +88,6 @@ MUTANTS = (
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))",
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget)) + 1",
      (FLOOR_TEST,)),
-    ("floor-side-on-first-request", "harness.py", "if k > 1 or side in _asked_sides",
-     "if k > 0 or side in _asked_sides", (FLOOR_REUSE_TEST,)),
 )
 
 
