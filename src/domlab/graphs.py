@@ -114,7 +114,7 @@ class Graph:
     n >= 1, so downstream code never re-checks these invariants.
     """
 
-    __slots__ = ("n", "adj", "closed", "full_mask", "m", "name")
+    __slots__ = ("n", "adj", "closed", "full_mask", "m", "name", "_hash")
 
     def __init__(self, n: int, adj: Sequence[int], name: str | None = None):
         if n <= 0:
@@ -134,6 +134,8 @@ class Graph:
         self.full_mask = (1 << n) - 1
         self.m = sum(row.bit_count() for row in adj) // 2
         self.name = name
+        # Once per graph: the caches keyed by graphs hash them on every lookup.
+        self._hash = hash((n, adj))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in lexicographic order."""
@@ -148,7 +150,7 @@ class Graph:
         return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return self._hash
 
     def __repr__(self) -> str:
         label = f", name={self.name!r}" if self.name else ""

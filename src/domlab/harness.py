@@ -413,60 +413,90 @@ def _mask_connected(mask: int, pairs: list[tuple[int, int]], n: int) -> bool:
 
 def _chunk_tables(
     p: tuple[int, ...], pairs: list[tuple[int, int]]
-) -> tuple[list[int], ...]:
-    """The action of vertex permutation p on edge masks, as three tables:
-    the image of mask m is t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16]."""
+) -> tuple[list[int], list[int]]:
+    """The action of vertex permutation p on edge masks, as two tables: the
+    image of mask m is t0[m & 2047] | t1[m >> 11], since n <= 7 has at most
+    21 edge bits.  p maps the complement of m to the complement of its
+    image, so the orbit of ~m is the complement of the orbit of m, and its
+    least mask is the complement of that orbit's greatest."""
     index = {pair: e for e, pair in enumerate(pairs)}
     image = [1 << index[min(p[i], p[j]), max(p[i], p[j])] for i, j in pairs]
     tables = []
-    for lo in (0, 8, 16):
+    for lo in (0, 11):
         table = [0]
-        for b in image[lo:lo + 8]:  # table[x | 1 << k] = table[x] | image of bit k
+        for b in image[lo:lo + 11]:  # table[x | 1 << k] = table[x] | image of bit k
             table += [t | b for t in table]
         tables.append(table)
-    return tuple(tables)
+    return tables[0], tables[1]
 
 
-def enumerate_connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on n vertices, one per isomorphism class.
+def _least_masks(n: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The edge pairs of n vertices and, ascending, the least edge mask of
+    every isomorphism class of graphs on them, connected or not (bit e is
+    the e-th pair i < j in lexicographic order).
 
-    Edge masks are scanned in ascending order.  The first one not yet marked
-    starts a new class: its whole orbit under vertex permutations is marked
-    by a breadth-first closure under the transposition (0 1) and the
-    rotation i -> i+1 mod n, which generate S_n.  The orbit's first mask is
-    its least, so the representative kept is exactly the orbit's smallest
-    edge mask; connectivity is tested on it alone.  Guarded to n <= 7 (class
-    counts 1, 1, 2, 6, 21, 112, 853), where the mark array is 2 MB; n = 8
-    would need 256 MB.
+    The first mask not yet marked starts a new class: its whole orbit under
+    vertex permutations is marked by a breadth-first closure under the
+    transposition (0 1) and the rotation i -> i+1 mod n, which generate
+    S_n.  The complement orbit is marked with it, and its least mask, the
+    complement of the orbit's greatest, is recorded (see `_chunk_tables`)
+    unless it is marked already: then the class is self-complementary and
+    recorded once.  Marks cover whole orbits and every mask below the scan
+    is marked, so the first unmarked mask is still its orbit's least.
+    Guarded to n <= 7 (class counts 1, 2, 4, 11, 34, 156, 1044), where the
+    mark array is 2 MB; n = 8 would need 256 MB.
     """
     if n < 1:
         raise BadParameterError(f"need n >= 1, got {n}")
     if n > 7:
         raise TooLargeError(f"connected-graph enumeration is guarded to n <= 7, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    swap = (1, 0, *range(2, n))
-    rotate = tuple((i + 1) % n for i in range(n))
-    # At n = 2 the rotation is the swap, and n = 1 needs no generator.
-    gens = [_chunk_tables(p, pairs) for p in (swap, rotate)[: min(n - 1, 2)]]
-    seen = bytearray(1 << len(pairs))
+    # Both are the identity's tables at n = 1 and the swap's at n = 2.
+    s0, s1 = _chunk_tables((1, 0, *range(2, n)), pairs)
+    r0, r1 = _chunk_tables(tuple((i + 1) % n for i in range(n)), pairs)
+    full = (1 << len(pairs)) - 1
+    seen = bytearray(full + 1)
     reps = []
-    for mask in range(1 << len(pairs)):
-        if seen[mask]:
-            continue
+    mask = 0
+    while mask >= 0:
         seen[mask] = 1
         orbit = [mask]
         for m in orbit:  # grows as the closure runs
-            lo, mid, hi = m & 255, m >> 8 & 255, m >> 16
-            for t0, t1, t2 in gens:
-                pm = t0[lo] | t1[mid] | t2[hi]
-                if not seen[pm]:
-                    seen[pm] = 1
-                    orbit.append(pm)
-        if _mask_connected(mask, pairs, n):
-            reps.append(mask)
+            lo, hi = m & 2047, m >> 11
+            pm = s0[lo] | s1[hi]
+            if not seen[pm]:
+                seen[pm] = 1
+                orbit.append(pm)
+            pm = r0[lo] | r1[hi]
+            if not seen[pm]:
+                seen[pm] = 1
+                orbit.append(pm)
+        reps.append(mask)
+        top = max(orbit)
+        if not seen[full ^ top]:
+            for m in orbit:
+                seen[full ^ m] = 1
+            reps.append(full ^ top)
+        mask = seen.find(0, mask + 1)
+    reps.sort()
+    return pairs, reps
+
+
+def enumerate_connected_graphs(n: int) -> list[Graph]:
+    """All connected graphs on n vertices, one per isomorphism class, as the
+    connected classes of `_least_masks` in its order: each graph is its
+    class's least edge mask, and connectivity is tested on it alone.
+    `_least_masks` closes one orbit per pair of complementary classes and
+    marks the other as its complement; the first unmarked mask is still its
+    orbit's least because marks cover whole orbits, and a self-complementary
+    class is recorded once.  Guarded to n <= 7 (class counts 1, 1, 2, 6, 21,
+    112, 853).
+    """
+    pairs, reps = _least_masks(n)
     return [
         make_graph(n, [pairs[e] for e in range(len(pairs)) if (mask >> e) & 1])
         for mask in reps
+        if _mask_connected(mask, pairs, n)
     ]
 
 

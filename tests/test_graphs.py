@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 import re
 import time
@@ -165,6 +166,15 @@ def test_graph_equality_ignores_name():
     assert a == b
     assert hash(a) == hash(b)
     assert a != make_graph(3, [(0, 2)])
+
+
+def test_graph_round_trips_through_pickle_with_its_hash():
+    # A sweep with jobs > 1 pickles its graphs to the workers; the copy is
+    # equal, keeps its name and hashes like the graph it came from.
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)], name="P4")
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.name == "P4"
+    assert hash(copy) == hash(g) == hash(path(4))
 
 
 def test_closed_neighborhood_matches_naive():

@@ -467,6 +467,29 @@ def test_enumeration_counts():
     ]
 
 
+def test_class_counts_include_the_disconnected_classes():
+    # Every isomorphism class on n vertices, connected or not (OEIS A000088),
+    # ascending by least mask.  A class whose complement's orbit the closure
+    # ran on is recorded without a closure of its own, some of them
+    # disconnected (K3 + K1, the star K1,3's complement, at n = 4), and each
+    # such mask is its class's least.
+    counts = []
+    for n in range(1, 8):
+        pairs, masks = domlab.harness._least_masks(n)
+        counts.append(len(masks))
+        assert masks == sorted(set(masks))
+        if n > 6:
+            continue
+        images = [
+            [1 << pairs.index((min(p[i], p[j]), max(p[i], p[j]))) for i, j in pairs]
+            for p in itertools.permutations(range(n))
+        ]
+        for mask in masks:
+            edges = [e for e in range(len(pairs)) if mask >> e & 1]
+            assert mask == min(sum(image[e] for e in edges) for image in images)
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+
 def test_enumeration_guards():
     with pytest.raises(TooLargeError):
         enumerate_connected_graphs(8)

@@ -15,21 +15,28 @@ ROOT = Path(__file__).parents[1]
 @pytest.mark.parametrize("workload", ["sweep", "remark"])
 def test_paired_timing_runs_the_repo_against_itself(workload):
     # Two copies of one checkout, loaded side by side, answer every
-    # operation alike; each round prints both times and their ratio.
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "paired_timing.py"), str(ROOT),
-         str(ROOT), "--workload", workload, "--seed", "1", "--ops", "2",
-         "--rounds", "2"],
-        capture_output=True, text=True, timeout=120, check=True,
-    ).stdout.splitlines()
-    assert len(out) == 3
-    for r, line in enumerate(out[:2], 1):
-        assert re.fullmatch(
-            rf"round {r}: 2 ops, base \d+\.\d{{3}} s, new \d+\.\d{{3}} s, "
-            r"ratio \d+\.\d{3}",
-            line,
-        ), line
-    assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])
+    # operation alike and build the same inputs; each round prints both
+    # times and their ratio.
+    def paired(*flags):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "paired_timing.py"), str(ROOT),
+             str(ROOT), "--workload", workload, "--seed", "1", "--rounds", "2",
+             *flags],
+            capture_output=True, text=True, timeout=120, check=True,
+        ).stdout.splitlines()
+
+    for out, label, digits in (
+        (paired("--ops", "2"), "2 ops", 3),
+        (paired("--setup"), "set-up", 5),
+    ):
+        assert len(out) == 3
+        for r, line in enumerate(out[:2], 1):
+            assert re.fullmatch(
+                rf"round {r}: {label}, base \d+\.\d{{{digits}}} s, "
+                rf"new \d+\.\d{{{digits}}} s, ratio \d+\.\d{{3}}",
+                line,
+            ), line
+        assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])
 
 
 def test_mutants_kills_the_silenced_membership_check():

@@ -53,6 +53,7 @@ FLOOR_TEST = "test_harness.py::test_sweep_floors_never_exceed_the_exact_gamma"
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
+    "test_harness.py::test_class_counts_include_the_disconnected_classes",
 )
 
 # (name, file under src/domlab, exact old text, new text, tests to run)
@@ -78,8 +79,13 @@ MUTANTS = (
      "if pg.g.n != g.n or pg.h.n != h.n:", (FOREIGN_PRODUCT,)),
     ("trace-lexmin-product", "cli.py", "dom = solve_product(pg, limits).witness",
      "dom = gamma_bb(pg.graph, limits).witness", (TRACE_AGREEMENT,)),
-    ("enumerate-one-generator", "harness.py", "for p in (swap, rotate)[: min(n - 1, 2)]",
-     "for p in (swap, rotate)[: min(n - 1, 1)]", ENUMERATION_TESTS),
+    ("enumerate-one-generator", "harness.py",
+     "r0, r1 = _chunk_tables(tuple((i + 1) % n for i in range(n)), pairs)",
+     "r0, r1 = s0, s1", ENUMERATION_TESTS),
+    ("enumerate-complement-min", "harness.py", "top = max(orbit)", "top = min(orbit)",
+     ENUMERATION_TESTS),
+    ("enumerate-complement-unguarded", "harness.py", "if not seen[full ^ top]:",
+     "if True:", ENUMERATION_TESTS),
     ("remark-exit-ignores-verdict", "cli.py", 'payload.get("all_passed", True)', "True",
      (REMARK_FAULT,)),
     ("orbit-merge-on-failed-search", "graphs.py", "failed.add(ry)", "root[ry] = x",
