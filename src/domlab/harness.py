@@ -53,7 +53,6 @@ from .graphs import (
     _spread,
     cartesian_product,
     complete,
-    make_graph,
     vertex_orbits,
 )
 from .solver import (
@@ -273,10 +272,10 @@ def _product_classes(a: Graph, b: Graph) -> Symmetry:
 
 @functools.lru_cache(maxsize=1024)
 def _orbit_table(g: Graph) -> dict[int, tuple[int, ...]]:
-    # Stabilizer orbits of g by fixed-vertex mask, filled on use.  Sweeps meet
-    # the same factors again and again: with a fresh table per pair, checking
-    # pairs of 6-vertex graphs took ~1.7 times as long.  The cache holds all
-    # 996 connected graphs on <= 7 vertices.
+    # `_stabilizer_orbits`'s memo for g: each entry is the answer for its
+    # fixed-vertex mask alone.  Sweeps meet the same factors again and again:
+    # with a fresh table per pair, checking pairs of 6-vertex graphs took ~1.7
+    # times as long.  The cache holds all 996 connected graphs on <= 7 vertices.
     return {}
 
 
@@ -284,22 +283,13 @@ def _stabilizer_orbits(
     g: Graph, table: dict[int, tuple[int, ...]], fixed: int
 ) -> tuple[int, ...]:
     """Each vertex's orbit mask under the automorphisms of g that fix
-    `fixed`, or () when every orbit is a single vertex."""
+    `fixed`, or () when every orbit is a single vertex: `vertex_orbits`,
+    memoized in `table`.  So the answer depends only on (g, fixed), also
+    when the orbit search runs out of steps and gives a finer partition."""
     orbits = table.get(fixed)
     if orbits is None:
-        # Fixing more vertices only splits orbits, so a superset of a set
-        # that leaves every vertex alone does too.  The search asks at a
-        # node after its parent, whose fixed set lacks at most one vertex.
-        m = fixed
-        while m:
-            bit = m & -m
-            m ^= bit
-            if table.get(fixed ^ bit) == ():
-                orbits = ()
-                break
-        else:
-            masks = [cls.mask for cls in vertex_orbits(g, VertexSet(g.n, fixed))]
-            orbits = () if len(set(masks)) == g.n else tuple(masks)
+        masks = [cls.mask for cls in vertex_orbits(g, VertexSet(g.n, fixed))]
+        orbits = () if len(set(masks)) == g.n else tuple(masks)
         table[fixed] = orbits
     return orbits
 
@@ -388,7 +378,9 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _mask_connected(mask: int, pairs: list[tuple[int, int]], n: int) -> bool:
+def _connected_rows(mask: int, pairs: list[tuple[int, int]], n: int) -> list[int] | None:
+    """The adjacency rows of edge mask `mask`, or None when its graph is
+    not connected."""
     rows = [0] * n
     m = mask
     while m:
@@ -408,7 +400,7 @@ def _mask_connected(mask: int, pairs: list[tuple[int, int]], n: int) -> bool:
             f ^= b
         frontier = step & ~visited
         visited |= frontier
-    return visited == (1 << n) - 1
+    return rows if visited == (1 << n) - 1 else None
 
 
 def _chunk_tables(
@@ -493,11 +485,8 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     112, 853).
     """
     pairs, reps = _least_masks(n)
-    return [
-        make_graph(n, [pairs[e] for e in range(len(pairs)) if (mask >> e) & 1])
-        for mask in reps
-        if _mask_connected(mask, pairs, n)
-    ]
+    rows = (_connected_rows(mask, pairs, n) for mask in reps)
+    return [Graph(n, r) for r in rows if r is not None]
 
 
 def remark_search(
@@ -516,19 +505,16 @@ def remark_search(
     pg = cartesian_product(g, h)
     enum = enumerate_minimum_dominating_sets(pg.graph, cap, limits=limits)
     examined = 0
+    found = None
     for d in enum.sets:
         examined += 1
         if is_minimal_dominating(g, project_onto_G(pg, d)):
-            return RemarkReport(
-                count_min_sets=examined,
-                found=d,
-                truncated=False,
-                gamma_product=enum.gamma,
-            )
+            found = d
+            break
     return RemarkReport(
         count_min_sets=examined,
-        found=None,
-        truncated=enum.truncated,
+        found=found,
+        truncated=enum.truncated and found is None,
         gamma_product=enum.gamma,
     )
 

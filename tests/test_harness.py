@@ -12,6 +12,7 @@ from dataclasses import replace
 import networkx as nx
 import pytest
 
+import domlab.graphs
 import domlab.harness
 import domlab.solver
 from domlab import (
@@ -152,6 +153,31 @@ def test_check_pair_classes_below_the_root_come_from_stabilizers():
     }
     assert product_partition(path(3), path(3), [0]) is None
     assert product_partition(path(3), path(2), [2]) == {(0, 4), (1, 5), (2,), (3,)}
+
+
+@pytest.mark.parametrize(
+    "graph, budget, first, then",
+    [
+        (cycle(12), 70, {7}, {1, 7}),
+        (cycle(8), 70, {4}, {0, 4}),
+        (cycle(10), 150, {5}, {0, 5}),
+        (grid(3, 3), 100, {8}, {0, 8}),
+    ],
+)
+def test_stabilizer_orbits_depend_only_on_the_fixed_set(
+    monkeypatch, graph, budget, first, then
+):
+    # With too few orbit steps, fixing `first` leaves every class a
+    # singleton, but fixing the larger `then` from scratch finds merged
+    # classes.  A table that has answered `first` must still answer `then`
+    # as an empty table does, so no search depends on the ones before it.
+    monkeypatch.setattr(domlab.graphs, "ORBIT_STEP_BUDGET", budget)
+    first_mask, then_mask = (sum(1 << v for v in s) for s in (first, then))
+    table = {}
+    domlab.harness._stabilizer_orbits(graph, table, first_mask)
+    assert domlab.harness._stabilizer_orbits(
+        graph, table, then_mask
+    ) == domlab.harness._stabilizer_orbits(graph, {}, then_mask)
 
 
 def test_orbits_below_the_root_keep_the_product_gamma(small_connected_corpus):

@@ -60,3 +60,16 @@ def test_corpus_check_matches_the_recorded_csv():
         "ok: 143 graphs, 10296 pairs, csv sha256 "
         "969b40f629643419868e124d0a942ab24c519a1faf581da09e7006f6d54b044a\n"
     )
+
+
+def test_cli_bytes_runs_the_repo_against_itself():
+    # One checkout against itself writes the same bytes for each invocation
+    # named, a remark with its trace checks and an exit-2 refusal among them.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_bytes.py"), str(ROOT), str(ROOT),
+         "remark-hit", "exit-2-bad-family"],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "same     remark-hit", "same     exit-2-bad-family", "differences: none"
+    ]

@@ -50,6 +50,7 @@ ORBIT_TESTS = (
     "test_graphs.py::test_solve_product_where_only_a_failed_search_splits_orbits",
 )
 FLOOR_TEST = "test_harness.py::test_sweep_floors_never_exceed_the_exact_gamma"
+STABILIZER_MEMO = "test_harness.py::test_stabilizer_orbits_depend_only_on_the_fixed_set"
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -94,6 +95,8 @@ MUTANTS = (
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))",
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget)) + 1",
      (FLOOR_TEST,)),
+    ("stabilizer-subset-shortcut", "harness.py", "orbits = table.get(fixed)",
+     "orbits = table.get(fixed) or table.get(fixed & (fixed - 1))", (STABILIZER_MEMO,)),
 )
 
 
