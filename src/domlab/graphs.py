@@ -310,7 +310,7 @@ def _project(mask: int, width: int) -> tuple[int, int]:
 # Work allowed to one `vertex_orbits` call, in steps: a vertex or an edge end
 # visited by a refinement round or a breadth-first order, a pair of vertices
 # considered, a candidate image tried or a mapped neighbor it is checked
-# against, and a vertex of a found permutation checked.
+# against, and a fixed charge of n + 2m per permutation found.
 ORBIT_STEP_BUDGET = 100_000
 
 
@@ -326,12 +326,11 @@ def vertex_orbits(g: Graph, fixed: VertexSet | None = None) -> tuple[VertexSet, 
     vertex y of its colour: a backtracking search maps the vertices in
     breadth-first order from x, and a vertex's candidate images are the
     same-coloured neighbors of its parent's image that agree on adjacency
-    with everything mapped so far.  Classes merge only along a
-    colour-preserving permutation checked to be an automorphism, which
-    therefore fixes every fixed vertex; a search that fails proves x and y
-    lie in different orbits.  After ORBIT_STEP_BUDGET steps the
-    partition found so far is returned: its classes lie inside orbits, and
-    any such partition is safe to branch on.
+    with everything mapped so far.  Classes merge only along an
+    automorphism that fixes every fixed vertex, built as one by `_map_from`;
+    a search that fails proves x and y lie in different orbits.  After
+    ORBIT_STEP_BUDGET steps the partition found so far is returned: its
+    classes lie inside orbits, and any such partition is safe to branch on.
     """
     n = g.n
     adj = g.adj
@@ -397,8 +396,6 @@ def vertex_orbits(g: Graph, fixed: VertexSet | None = None) -> tuple[VertexSet, 
                 failed.add(ry)
                 continue
             steps += ends
-            if not _is_automorphism(adj, image):
-                continue
             for v in range(n):
                 a, b = find(v), find(image[v])
                 if a != b:
@@ -444,7 +441,12 @@ def _map_from(
 ) -> tuple[list[int] | None, int]:
     """A colour-preserving permutation that maps order[0] to y and keeps
     adjacency, by backtracking over `order` on an explicit stack; None when
-    there is none or the steps pass `budget`.  Also the steps spent so far."""
+    there is none or the steps pass `budget`.  Also the steps spent so far.
+
+    A complete image is a colour-preserving bijection (each fixed vertex has
+    a colour of its own) that sends every edge to an edge, each edge checked
+    when its later end is mapped; so it is an automorphism fixing every
+    fixed vertex."""
     n = len(order)
     image = [-1] * n
     used = 0  # images taken
@@ -494,16 +496,6 @@ def _map_from(
         base = adj[image[p]] if p >= 0 else -1
         rest[t] = base & cells[colour[z]] & ~used
     return None, steps
-
-
-def _is_automorphism(adj: tuple[int, ...], image: list[int]) -> bool:
-    for v, row in enumerate(adj):
-        mapped = 0
-        for w in _iter_bits(row):
-            mapped |= 1 << image[w]
-        if mapped != adj[image[v]]:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

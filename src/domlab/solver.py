@@ -491,7 +491,6 @@ def gamma_restricted(
 
 def is_minimal_dominating(g: Graph, s: VertexSet) -> bool:
     """True when s dominates g and no proper subset of s does."""
-    _check_universe(g, s)
     if not is_dominating(g, s):
         return False
     for v in s:
@@ -507,7 +506,6 @@ def shrink_to_minimal(g: Graph, s: VertexSet) -> VertexSet:
     kept whenever possible and the result is reproducible (for example the
     all-vertex set of a complete graph shrinks to {0}).
     """
-    _check_universe(g, s)
     if not is_dominating(g, s):
         raise NotDominatingError("cannot shrink a set that does not dominate")
     current = s

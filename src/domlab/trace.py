@@ -201,7 +201,6 @@ def _resolve_gamma(
     """Use a supplied gamma only after re-checking its witness."""
     if hint is None:
         return gamma_bb(graph, limits).gamma
-    _check_universe(graph, hint.witness)
     if not is_dominating(graph, hint.witness):
         raise NotDominatingError("gamma hint witness does not dominate its graph")
     if len(hint.witness) != hint.gamma:
@@ -233,7 +232,6 @@ def build_trace(
     pg = cartesian_product(g, h) if product is None else product
     if pg.g != g or pg.h != h:
         raise BadParameterError("supplied product was not built from these factors")
-    _check_universe(pg.graph, D)
     if not is_dominating(pg.graph, D):
         raise NotDominatingError("D does not dominate the product graph")
     Q = project_onto_G(pg, D)

@@ -470,6 +470,42 @@ def test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers():
         vertex_orbits(path(5), VertexSet.full(4))
 
 
+def test_map_from_returns_only_automorphisms(monkeypatch):
+    # `vertex_orbits` merges classes along every image `_map_from` returns
+    # without checking it again, so each image must be a permutation that
+    # sends edges to edges and fixes every fixed vertex.
+    images = []
+    real = graphs_module._map_from
+
+    def recording(*args):
+        image, steps = real(*args)
+        if image is not None:
+            images.append(image)
+        return image, steps
+
+    monkeypatch.setattr(graphs_module, "_map_from", recording)
+    cases = [
+        (g, fixed)
+        for n in range(1, 7)
+        for g in harness.enumerate_connected_graphs(n)
+        for fixed in range(1 << n)
+    ]
+    assert len(cases) == 7_958
+    cases.append((random_gnp(6, 0.4, 1508), 0))
+    checked = 0
+    for g, fixed in cases:
+        images.clear()
+        vertex_orbits(g, VertexSet(g.n, fixed))
+        edges = {frozenset(e) for e in g.edges()}
+        for p in images:
+            where = (encode_graph6(g), fixed, p)
+            assert sorted(p) == list(range(g.n)), where
+            assert {frozenset((p[u], p[v])) for u, v in g.edges()} <= edges, where
+            assert all(p[v] == v for v in range(g.n) if fixed >> v & 1), where
+            checked += 1
+    assert checked > 0
+
+
 def test_solve_product_where_only_a_failed_search_splits_orbits():
     # Were the triangle and the square one orbit, the product search would
     # skip branches it needs and answer 5.

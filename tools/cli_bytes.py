@@ -40,6 +40,9 @@ INVOCATIONS = (
     ("check-jsonl", ("check", "cycle:5", "path:4", "--format", "jsonl")),
     ("check-with-trace", ("check", "grid:2x3", "cycle:4", "--format", "jsonl",
                           "--with-trace")),
+    # vertex_orbits runs out of steps on K44, with and without a fixed vertex.
+    ("check-orbit-budget", ("check", "complete:44", "complete:8", "--format", "jsonl",
+                            "--with-trace")),
     ("trace-human", ("trace", "path:4", "cycle:4")),
     ("trace-jsonl", ("trace", "path:4", "cycle:4", "--format", "jsonl")),
     ("trace-dom-set", ("trace", "path:3", "path:3", "--dom-set", "dom.txt")),

@@ -48,6 +48,7 @@ REMARK_FAULT = "test_cli.py::test_remark_inject_fault"
 ORBIT_TESTS = (
     "test_graphs.py::test_vertex_orbits_fixing_a_set_match_brute_force_stabilizers",
     "test_graphs.py::test_solve_product_where_only_a_failed_search_splits_orbits",
+    "test_graphs.py::test_map_from_returns_only_automorphisms",
 )
 FLOOR_TEST = "test_harness.py::test_sweep_floors_never_exceed_the_exact_gamma"
 STABILIZER_MEMO = "test_harness.py::test_stabilizer_orbits_depend_only_on_the_fixed_set"
@@ -91,6 +92,8 @@ MUTANTS = (
      (REMARK_FAULT,)),
     ("orbit-merge-on-failed-search", "graphs.py", "failed.add(ry)", "root[ry] = x",
      ORBIT_TESTS),
+    ("map-from-skips-neighbour-check", "graphs.py",
+     "if not row >> image[b.bit_length() - 1] & 1:", "if False:", ORBIT_TESTS),
     ("floor-one-too-high", "harness.py",
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))",
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget)) + 1",
