@@ -114,13 +114,20 @@ to fill the slots.  The eligible vertices are always those from the next
 pick position on, so a vertex's last eligible dominator is its highest
 dominator outright: a table built once per call (`upto[t]`, the vertices
 whose highest dominator is at most t) gives that bound without the walk.
+The counting bound takes the suffix's form: `widest[i]` is the largest
+closed neighbourhood among vertices i..n-1, and a pick v is pushed only
+when the slots - 1 picks after it, all above v, can cover what v leaves,
+that is at most (slots - 1) * widest[v + 1] vertices (with no slot left,
+v must cover everything).  A pick that fails this has no dominating set
+in its subtree, so the search yields the same sets in the same order and
+only visits fewer nodes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 from .errors import (
     BadParameterError,
@@ -375,6 +382,11 @@ class _BranchAndBound:
         for v, row in enumerate(closed):
             upto[row.bit_length() - 1] |= 1 << v
         upto = list(accumulate(upto, int.__or__))
+        # widest[i]: the largest closed neighbourhood among vertices i..n-1
+        # (0 at i = n), so the most any one pick from position i on covers.
+        sizes = (row.bit_count() for row in reversed(closed))
+        widest = list(accumulate(sizes, max, initial=0))
+        widest.reverse()
         stack = [(0, 0, size, 0)]
         while stack:
             covered, i, slots, picks = stack.pop()
@@ -395,10 +407,13 @@ class _BranchAndBound:
             last = i
             while last < n - slots and not upto[last] & rest:
                 last += 1
-            stack.extend(
-                (covered | closed[v], v + 1, slots - 1, picks | 1 << v)
-                for v in range(last, i - 1, -1)
-            )
+            # After pick v the other slots - 1 picks come from v + 1 on, so
+            # they cover at most (slots - 1) * widest[v + 1] of what is left.
+            room = slots - 1
+            for v in range(last, i - 1, -1):
+                row = closed[v]
+                if (rest & ~row).bit_count() <= room * widest[v + 1]:
+                    stack.append((covered | row, v + 1, room, picks | 1 << v))
 
 
 def _solve(
@@ -534,21 +549,20 @@ def enumerate_minimum_dominating_sets(
 
     The sets come from a branch-and-bound search that never visits a subset
     unable to complete a cover (see the module docstring), in the order of
-    `itertools.combinations(range(g.n), gamma)`.  Stops after `cap` sets and
-    flags truncation if at least one more exists.  Finding gamma and listing
-    the sets share one node budget; when it runs out, BudgetExhaustedError
-    carries a minimum dominating set as its witness.
+    `itertools.combinations(range(g.n), gamma)`.  Its cuts, the suffix
+    coverage bound among them, drop only subtrees that hold no dominating
+    set, so they change how many nodes the listing takes, never the sets or
+    their order.  Stops after `cap` sets and flags truncation if at least
+    one more exists.  Finding gamma and listing the sets share one node
+    budget; when it runs out, BudgetExhaustedError carries a minimum
+    dominating set as its witness.
     """
     if cap <= 0:
         raise BadParameterError(f"cap must be positive, got {cap}")
     limits = limits or SolverLimits()
     engine = _BranchAndBound(g, limits.node_budget)
     gamma = engine.minimize(g.full_mask)
-    found: list[VertexSet] = []
-    truncated = False
-    for mask in engine.dominating_sets(gamma):
-        if len(found) == cap:
-            truncated = True
-            break
-        found.append(VertexSet(g.n, mask))
-    return MinimumSetEnumeration(gamma, tuple(found), truncated)
+    masks = engine.dominating_sets(gamma)
+    found = tuple(VertexSet(g.n, mask) for mask in islice(masks, cap))
+    truncated = next(masks, None) is not None
+    return MinimumSetEnumeration(gamma, found, truncated)

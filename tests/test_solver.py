@@ -581,12 +581,17 @@ def test_enumerate_cap_must_be_positive():
 
 def test_enumerate_is_bounded_by_the_node_budget():
     # C(36, 10) ~ 2.5e8 subsets of size gamma = 10, but the search lists all
-    # 288 minimum sets in about 22,000 nodes.
+    # 288 minimum sets in 12,812 nodes.
     g = grid(6, 6)
     enum = enumerate_minimum_dominating_sets(g, cap=1000)
     assert enum.gamma == 10
     assert len(enum.sets) == 288
     assert not enum.truncated
+    engine = _BranchAndBound(g, 10**6)
+    engine.minimize(g.full_mask)
+    before = engine.nodes
+    assert sum(1 for _ in engine.dominating_sets(10)) == 288
+    assert engine.nodes - before == 12_812
     with pytest.raises(BudgetExhaustedError) as exc:
         enumerate_minimum_dominating_sets(g, cap=1000, limits=SolverLimits(1000))
     assert len(exc.value.witness) == 10
@@ -630,15 +635,15 @@ def test_enumerate_matches_brute_force_order_and_truncation():
 
 def test_enumerate_charges_gamma_and_listing_to_one_budget():
     # gamma takes 131 nodes here and listing up to the second set (which
-    # sets the truncation flag) 400 more; the lexicographic witness pass
+    # sets the truncation flag) 244 more; the lexicographic witness pass
     # that gamma_bb adds is not run.
     g = cartesian_product(cycle(6), path(5)).graph
-    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=531))
+    res = enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=375))
     assert res.gamma == 8
     assert [tuple(s) for s in res.sets] == [(0, 1, 3, 4, 12, 15, 19, 22)]
     assert res.truncated
     with pytest.raises(BudgetExhaustedError) as exc:
-        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=530))
+        enumerate_minimum_dominating_sets(g, 1, SolverLimits(node_budget=374))
     assert isinstance(exc.value.witness, VertexSet)
     assert is_dominating(g, exc.value.witness)
     assert len(exc.value.witness) == 8

@@ -49,6 +49,8 @@ INVOCATIONS = (
     ("remark-hit", ("remark", "path:3", "complete:1")),
     ("remark-hit-jsonl", ("remark", "star:6", "star:6", "--format", "jsonl")),
     ("remark-miss", ("remark", "path:4", "path:4")),
+    # 256 minimum sets, all with one projection.
+    ("remark-miss-repeated", ("remark", "path:4", "complete:4", "--format", "jsonl")),
     ("remark-miss-truncated", ("remark", "path:2", "path:4", "--cap", "5",
                                "--format", "jsonl")),
     ("sweep-csv", ("sweep", "--family", "cycles:3..6")),

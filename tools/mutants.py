@@ -98,6 +98,8 @@ MUTANTS = (
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget))",
      "return max(_complete_floor(g, h.n, budget), _complete_floor(h, g.n, budget)) + 1",
      (FLOOR_TEST,)),
+    ("enumerator-suffix-bound-tight", "solver.py", "<= room * widest[v + 1]",
+     "< room * widest[v + 1]", ENUMERATOR_TESTS),
     ("stabilizer-subset-shortcut", "harness.py", "orbits = table.get(fixed)",
      "orbits = table.get(fixed) or table.get(fixed & (fixed - 1))", (STABILIZER_MEMO,)),
 )
