@@ -245,9 +245,11 @@ class _BranchAndBound:
     def _tick(self) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
+            best = self.best_mask.bit_count()
             raise BudgetExhaustedError(
-                f"node budget {self.budget} exhausted",
-                upper_bound=self.best_mask.bit_count(),
+                f"node budget {self.budget} exhausted; "
+                f"best dominating set found has {best} vertices",
+                upper_bound=best,
                 witness=VertexSet(self.n, self.best_mask),
             )
 

@@ -351,11 +351,11 @@ PINNED_REPORTS = [
     ),
     (
         (*_BUDGET_40, "--format", "jsonl"),
-        "12b3710159a2269f6f2020180bdccf89c7747d9459fe7d8788605f66b58319ac",
+        "cfd5b701943e35523dff0a0cb2107ce75daf40fe240f916dac2ec4d45067dbce",
     ),
     (
         (*_BUDGET_40, "--format", "human"),
-        "b3bca6ad7508fe63fba58ede5108bba42bcd940f971cf63dc4fac5a9a0ceda58",
+        "5f4fb4e0f732e57c8bc207bba43f52d70ea7cdbd4882bd1a5af0e66c286e62b5",
     ),
 ]
 
@@ -392,7 +392,8 @@ def test_error_row_jsonl_keeps_every_key_in_order(capsys):
             **dict.fromkeys(keys + verdict_keys, None),
             "g6_G": "Dhc",
             "g6_H": "EhEG",
-            "error": "BudgetExhaustedError: node budget 40 exhausted",
+            "error": "BudgetExhaustedError: node budget 40 exhausted; "
+            "best dominating set found has 8 vertices",
         }
 
 
@@ -469,7 +470,10 @@ def test_remark_stops_when_the_node_budget_runs_out(capsys):
     )
     assert code == 3
     assert out == ""
-    assert err == "domlab: node budget 1000 exhausted\n"
+    assert err == (
+        "domlab: node budget 1000 exhausted; "
+        "best dominating set found has 10 vertices\n"
+    )
 
 
 # ---------------------------------------------------------------------------

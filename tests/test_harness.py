@@ -169,15 +169,19 @@ def test_stabilizer_orbits_depend_only_on_the_fixed_set(
 ):
     # With too few orbit steps, fixing `first` leaves every class a
     # singleton, but fixing the larger `then` from scratch finds merged
-    # classes.  A table that has answered `first` must still answer `then`
-    # as an empty table does, so no search depends on the ones before it.
+    # classes.  A memo that has answered `first` must still answer `then`
+    # as an uncached call does, so no search depends on the ones before it.
+    # The memo is cleared after, so no answer found under the patched
+    # budget reaches a later test.
     monkeypatch.setattr(domlab.graphs, "ORBIT_STEP_BUDGET", budget)
     first_mask, then_mask = (sum(1 << v for v in s) for s in (first, then))
-    table = {}
-    domlab.harness._stabilizer_orbits(graph, table, first_mask)
-    assert domlab.harness._stabilizer_orbits(
-        graph, table, then_mask
-    ) == domlab.harness._stabilizer_orbits(graph, {}, then_mask)
+    orbits = domlab.harness._stabilizer_orbits
+    orbits.cache_clear()
+    try:
+        orbits(graph, first_mask)
+        assert orbits(graph, then_mask) == orbits.__wrapped__(graph, then_mask)
+    finally:
+        orbits.cache_clear()
 
 
 def test_orbits_below_the_root_keep_the_product_gamma(small_connected_corpus):

@@ -62,6 +62,9 @@ INVOCATIONS = (
     ("sweep-jobs-2", ("sweep", "--family", "cycles:3..6", "--jobs", "2")),
     ("sweep-out", ("sweep", "--family", "paths:1..5", "--format", "human",
                    "--out", "out.txt")),
+    # A node budget of 40 stops 7 of the 21 pairs, so error rows are compared.
+    ("sweep-budget-errors", ("sweep", "--family", "cycles:3..8", "--node-budget", "40",
+                             "--format", "jsonl")),
     *((f"enumerate-{n}", ("enumerate", str(n))) for n in range(1, 8)),
     ("exit-2-bad-family", ("gamma", "cycless:3")),
     ("exit-3-node-budget", ("remark", "grid:6x6", "path:1", "--node-budget", "1000")),
