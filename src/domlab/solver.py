@@ -121,10 +121,24 @@ that is at most (slots - 1) * widest[v + 1] vertices (with no slot left,
 v must cover everything).  A pick that fails this has no dominating set
 in its subtree, so the search yields the same sets in the same order and
 only visits fewer nodes.
+
+A plain solve keeps every default: the lexmin witness, no symmetry, no
+floor.  `gamma_bb`'s plain calls and every `gamma_restricted` call go
+through one process-wide memo, `_plain_solve`, keyed by (graph, candidate
+mask, node budget); a sweep asks for the same factor and projection
+solves again and again, and each is searched once.  The search reads
+nothing else (graphs compare by their rows, never by name), so a key
+always has one answer: a memoized answer is the one a fresh search gives.
+The budget is part of the key, since a search that finishes under one
+budget may run out under a smaller one; a call that raises is not
+memoized and searches again next time.  Callers share the answer object,
+which is safe because a `DominationResult` and its `VertexSet` are never
+changed after they are built.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
@@ -432,6 +446,15 @@ def _solve(
     return DominationResult(gamma, VertexSet(g.n, witness))
 
 
+# The plain-solve memo (module docstring).  The sweep of the 10,296 pairs
+# of connected graphs on <= 6 vertices leaves 497 entries; the bound caps
+# what one process holds when every solve is new.
+@functools.lru_cache(maxsize=4096)
+def _plain_solve(g: Graph, candidates: int, node_budget: int) -> DominationResult:
+    """`_solve` with every default, memoized by (graph, candidates, budget)."""
+    return _solve(g, candidates, node_budget)
+
+
 def gamma_oracle(g: Graph) -> DominationResult:
     """Reference solver: try every vertex subset by increasing size.
 
@@ -483,8 +506,14 @@ def gamma_bb(
     skips the proof call and changes neither gamma nor the witness.  It
     must be a proven lower bound on gamma (module docstring); a larger one
     makes the answer wrong.
+
+    A call that keeps the defaults of `lexmin`, `symmetry` and `floor` is
+    memoized for the process by (graph, node budget), and the result is
+    shared between callers (module docstring).
     """
     limits = limits or SolverLimits()
+    if symmetry is None and lexmin and not floor:
+        return _plain_solve(g, g.full_mask, limits.node_budget)
     if symmetry is not None and not callable(symmetry):
         raise BadParameterError(
             f"symmetry must map picks to classes, got {type(symmetry).__name__}"
@@ -499,11 +528,13 @@ def gamma_restricted(
 
     The witness is the lexicographically smallest among the minimum-size
     solutions.  Raises NotDominatingError when the candidates cannot
-    dominate g at all.
+    dominate g at all.  Memoized for the process by (graph, candidate mask,
+    node budget), and the result is shared between callers (module
+    docstring).
     """
     limits = limits or SolverLimits()
     _check_universe(g, candidates)
-    return _solve(g, candidates.mask, limits.node_budget)
+    return _plain_solve(g, candidates.mask, limits.node_budget)
 
 
 def is_minimal_dominating(g: Graph, s: VertexSet) -> bool:

@@ -29,14 +29,17 @@ from domlab import (
     cycle,
     encode_graph6,
     enumerate_connected_graphs,
+    enumerate_minimum_dominating_sets,
     gamma_bb,
     gamma_oracle,
     grid,
     is_dominating,
+    is_minimal_dominating,
     pair_report_dict,
     pair_report_row,
     parse_graph6,
     path,
+    project_onto_G,
     remark_search,
     solve_product,
     star,
@@ -282,7 +285,10 @@ def test_product_search_finds_the_same_sets(small_connected_corpus):
 def test_check_pair_node_total_is_pinned(small_connected_corpus, monkeypatch):
     # Every search node check_pair visits over the 496 pairs of the <= 5
     # sweep (factors, product and the trace's solves).  A change that
-    # weakens pruning moves it on any machine, however fast.
+    # weakens pruning moves it on any machine, however fast.  Plain solves
+    # are memoized for the process; the memo is emptied before and after,
+    # so the count does not depend on other tests, and each distinct factor
+    # and projection solve counts once.
     nodes = 0
     tick = domlab.solver._BranchAndBound._tick
 
@@ -292,9 +298,14 @@ def test_check_pair_node_total_is_pinned(small_connected_corpus, monkeypatch):
         tick(engine)
 
     monkeypatch.setattr(domlab.solver._BranchAndBound, "_tick", counted)
-    for g, h in all_pairs(small_connected_corpus):
-        check_pair(g, h)
-    assert nodes == 6_271
+    plain = domlab.solver._plain_solve
+    plain.cache_clear()
+    try:
+        for g, h in all_pairs(small_connected_corpus):
+            check_pair(g, h)
+    finally:
+        plain.cache_clear()
+    assert nodes == 4_858
 
 
 def test_bound_definitions():
@@ -649,6 +660,63 @@ def test_remark_search_respects_cap():
     assert rep.found is not None
     # A pair with no hit and more minimum sets than the cap must truncate.
     assert remark_search(path(4), path(4), cap=1).truncated
+
+
+def remark_walk_without_memo(g, h, cap=domlab.harness.DEFAULT_REMARK_CAP):
+    """remark_search's walk with every listed set's projection tested:
+    (count, found mask, truncated, gamma, distinct projections seen)."""
+    pg = cartesian_product(g, h)
+    enum = enumerate_minimum_dominating_sets(pg.graph, cap)
+    examined = 0
+    found = None
+    seen = set()
+    for d in enum.sets:
+        examined += 1
+        q = project_onto_G(pg, d)
+        seen.add(q.mask)
+        if is_minimal_dominating(g, q):
+            found = d.mask
+            break
+    return examined, found, enum.truncated and found is None, enum.gamma, len(seen)
+
+
+@pytest.mark.parametrize(
+    "g, h, cap, expected",
+    [
+        (path(4), complete(4), 100_000, (256, None, False, 4, 1)),
+        (path(2), path(4), 5, (5, None, True, 3, 1)),
+    ],
+    ids=["P4xK4", "P2xP4-cap5"],
+)
+def test_remark_search_tests_each_projection_once(monkeypatch, g, h, cap, expected):
+    # (sets examined, found, truncated, gamma, distinct projections): the
+    # walk with its projection memo answers as the walk that tests every
+    # set, and calls is_minimal_dominating once per projection.  All 256
+    # minimum sets of P4 x K4 project onto {0, ..., 3}.
+    assert remark_walk_without_memo(g, h, cap) == expected
+    calls = 0
+    real = domlab.harness.is_minimal_dominating
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(domlab.harness, "is_minimal_dominating", counted)
+    rep = remark_search(g, h, cap=cap)
+    mask = rep.found.mask if rep.found is not None else None
+    got = (rep.count_min_sets, mask, rep.truncated, rep.gamma_product, calls)
+    assert got == expected
+
+
+def test_remark_search_agrees_with_a_walk_without_memo():
+    # Every ordered pair of connected graphs on <= 4 vertices.
+    corpus = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+    for g, h in itertools.product(corpus, repeat=2):
+        rep = remark_search(g, h)
+        mask = rep.found.mask if rep.found is not None else None
+        got = (rep.count_min_sets, mask, rep.truncated, rep.gamma_product)
+        assert got == remark_walk_without_memo(g, h)[:4], (g, h)
 
 
 # ---------------------------------------------------------------------------

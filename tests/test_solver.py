@@ -39,7 +39,7 @@ from domlab import (
     vertex_orbits,
 )
 import domlab.harness
-from domlab.solver import _BranchAndBound, _greedy_cover
+from domlab.solver import _BranchAndBound, _greedy_cover, _plain_solve, _solve
 from helpers import (
     milp_gamma,
     naive_closed_neighborhoods,
@@ -375,6 +375,59 @@ def test_node_counts_are_pinned(g, nodes):
     assert isinstance(witness, VertexSet)
     assert is_dominating(g, witness)
     assert len(witness) == exc.value.upper_bound == result.gamma
+
+
+def test_plain_solves_equal_a_fresh_search():
+    # gamma_bb's plain calls and gamma_restricted go through the process's
+    # solve memo; asked twice, each answers as a search of its own does.
+    rng = random.Random(35)
+    budget = SolverLimits().node_budget
+    for seed in range(40):
+        g = random_gnp(rng.randint(1, 12), rng.choice((0.2, 0.4)), seed)
+        for _ in range(2):
+            assert gamma_bb(g) == _solve(g, g.full_mask, budget)
+        for _ in range(3):
+            candidates = rng.getrandbits(g.n)
+            try:
+                fresh = _solve(g, candidates, budget)
+            except NotDominatingError:
+                for _ in range(2):
+                    with pytest.raises(NotDominatingError):
+                        gamma_restricted(g, VertexSet(g.n, candidates))
+                continue
+            for _ in range(2):
+                assert gamma_restricted(g, VertexSet(g.n, candidates)) == fresh
+
+
+def test_plain_solve_memo_keys_on_the_budget():
+    # A search that needs exactly `nodes` nodes: the success found under
+    # that budget is served again under it, never under one node less, and
+    # a budget that runs out raises on every call.
+    g = cartesian_product(cycle(6), path(4)).graph
+    candidates = VertexSet(g.n, g.full_mask & ~0b101)
+    engine = _BranchAndBound(g, 10**6)
+    engine.minimize(g.full_mask)
+    engine.lexmin_witness(g.full_mask)
+    restricted = _BranchAndBound(g, 10**6)
+    restricted.minimize(candidates.mask)
+    restricted.lexmin_witness(candidates.mask)
+    _plain_solve.cache_clear()
+    try:
+        for call, nodes in (
+            (lambda b: gamma_bb(g, SolverLimits(b)), engine.nodes),
+            (
+                lambda b: gamma_restricted(g, candidates, SolverLimits(b)),
+                restricted.nodes,
+            ),
+        ):
+            first = call(nodes)
+            assert call(nodes) is first
+            for _ in range(2):
+                with pytest.raises(BudgetExhaustedError):
+                    call(nodes - 1)
+            assert call(nodes) is first
+    finally:
+        _plain_solve.cache_clear()
 
 
 def test_grid_10x10_is_changs_value():

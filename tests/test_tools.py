@@ -16,7 +16,7 @@ ROOT = Path(__file__).parents[1]
 def test_paired_timing_runs_the_repo_against_itself(workload):
     # Two copies of one checkout, loaded side by side, answer every
     # operation alike and build the same inputs; each round prints both
-    # times and their ratio.
+    # times (with --memory, both tracemalloc peaks) and their ratio.
     def paired(*flags):
         return subprocess.run(
             [sys.executable, str(ROOT / "tools" / "paired_timing.py"), str(ROOT),
@@ -25,15 +25,15 @@ def test_paired_timing_runs_the_repo_against_itself(workload):
             capture_output=True, text=True, timeout=120, check=True,
         ).stdout.splitlines()
 
-    for out, label, digits in (
-        (paired("--ops", "2"), "2 ops", 3),
-        (paired("--setup"), "set-up", 5),
+    for out, label, value in (
+        (paired("--ops", "2"), "2 ops", r"\d+\.\d{3} s"),
+        (paired("--setup"), "set-up", r"\d+\.\d{5} s"),
+        (paired("--ops", "2", "--memory"), "2 ops", r"peak \d+\.\d{3} MB"),
     ):
         assert len(out) == 3
         for r, line in enumerate(out[:2], 1):
             assert re.fullmatch(
-                rf"round {r}: {label}, base \d+\.\d{{{digits}}} s, "
-                rf"new \d+\.\d{{{digits}}} s, ratio \d+\.\d{{3}}",
+                rf"round {r}: {label}, base {value}, new {value}, ratio \d+\.\d{{3}}",
                 line,
             ), line
         assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])

@@ -55,6 +55,29 @@ STABILIZER_TESTS = (
     "test_harness.py::test_check_pair_classes_below_the_root_come_from_stabilizers",
     "test_harness.py::test_product_search_finds_the_same_sets",
 )
+REMARK_MEMO_TESTS = (
+    "test_harness.py::test_remark_search_agrees_with_a_walk_without_memo",
+    "test_harness.py::test_remark_search_tests_each_projection_once",
+)
+PLAIN_SOLVE_TESTS = (
+    "test_solver.py::test_plain_solve_memo_keys_on_the_budget",
+    "test_solver.py::test_node_counts_are_pinned",
+)
+# The plain-solve memo keyed by (graph, candidates) alone.
+BUDGETLESS_MEMO = """def _by_graph_and_candidates(solve):
+    memo = {}
+
+    def lookup(g, candidates, node_budget):
+        if (g, candidates) not in memo:
+            memo[g, candidates] = solve(g, candidates, node_budget)
+        return memo[g, candidates]
+
+    lookup.cache_clear = memo.clear
+    return lookup
+
+
+@_by_graph_and_candidates
+"""
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -105,6 +128,10 @@ MUTANTS = (
      "< room * widest[v + 1]", ENUMERATOR_TESTS),
     ("stabilizer-orbits-drop-a-fixed-vertex", "harness.py", "VertexSet(g.n, fixed)",
      "VertexSet(g.n, fixed & (fixed - 1))", STABILIZER_TESTS),
+    ("remark-memo-unseen-not-minimal", "harness.py", "minimal = memo.get(q)",
+     "minimal = memo.get(q, False)", REMARK_MEMO_TESTS),
+    ("plain-solve-ignores-budget", "solver.py", "@functools.lru_cache(maxsize=4096)\n",
+     BUDGETLESS_MEMO, PLAIN_SOLVE_TESTS),
 )
 
 

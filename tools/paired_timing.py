@@ -2,6 +2,7 @@
 
     python3 tools/paired_timing.py BASE NEW --workload sweep --seed 7919 --ops 100 --rounds 4
     python3 tools/paired_timing.py BASE NEW --workload sweep --seed 7 --setup --rounds 20
+    python3 tools/paired_timing.py BASE NEW --workload remark --memory --rounds 2
 
 BASE and NEW are checkout roots (each holds `src/domlab` and `bench/`).
 Each checkout's package is loaded under its own name (`domlab_base`,
@@ -19,6 +20,15 @@ each build with that side's own `Stopwatch` (what `bench/run.py` reports
 as `setup_s`), printed to five decimals.  It stops with an error when the
 two builds describe different inputs.
 
+With `--memory` a round instead runs operations 0 to ops - 1 on one side
+and then on the other, alternating which side goes first, each pass under
+`tracemalloc`, and prints each side's peak of memory allocated during its
+pass, in MB, and their ratio, base over new (above 1: NEW holds less).
+Timing cannot show what a cache holds.  The first round starts with each
+side's process-wide caches as its set-up left them, so its peaks include
+what they grow by; later rounds find them warm.  Both passes hold their
+answers until the round ends, the same on both sides when they agree.
+
 Separate `bench/run.py` runs of one commit on a shared machine can spread
 by a third; two sides timed operation by operation share the machine's
 state, so their ratio stays steady across rounds.
@@ -32,6 +42,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 
 def _load(name: str, path: str, search: list[str] | None = None):
@@ -96,6 +107,26 @@ def ops_round(sides, ops: list, r: int) -> list[float] | None:
     return seconds
 
 
+def memory_round(sides, ops: list, r: int) -> list[float] | None:
+    """Run every operation on one side, then on the other, alternating
+    which goes first, each pass under tracemalloc: each side's peak in MB,
+    or None when the two sides answer an operation differently."""
+    peaks = [0.0, 0.0]
+    answers = [None, None]
+    for s in (0, 1) if r % 2 == 0 else (1, 0):
+        tracemalloc.start()
+        try:
+            answers[s] = [sides[s][0].run(pair[s]) for pair in ops]
+            peaks[s] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    for i, (a, b) in enumerate(zip(*answers)):
+        if a != b:
+            print(f"operation {i}: the two sides answer differently", file=sys.stderr)
+            return None
+    return peaks
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="root of the checkout to compare against")
@@ -107,9 +138,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--setup", action="store_true", help="time building the inputs, not the operations"
     )
+    ap.add_argument(
+        "--memory", action="store_true",
+        help="measure each side's tracemalloc peak over the operations, not their time",
+    )
     args = ap.parse_args(argv)
     if args.ops < 1 or args.rounds < 1:
         ap.error("--ops and --rounds must be at least 1")
+    if args.setup and args.memory:
+        ap.error("--setup and --memory exclude each other")
 
     sides = [
         load_side(os.path.abspath(root), tag, args.workload)
@@ -128,16 +165,19 @@ def main(argv: list[str] | None = None) -> int:
     ratios = []
     for r in range(args.rounds):
         if args.setup:
-            seconds = setup_round(sides, args.seed, r)
+            measured = setup_round(sides, args.seed, r)
+        elif args.memory:
+            measured = memory_round(sides, ops, r)
         else:
-            seconds = ops_round(sides, ops, r)
-        if seconds is None:
+            measured = ops_round(sides, ops, r)
+        if measured is None:
             return 1
-        ratios.append(seconds[0] / seconds[1])
-        print(
-            f"round {r + 1}: {label}, base {seconds[0]:.{digits}f} s, "
-            f"new {seconds[1]:.{digits}f} s, ratio {ratios[-1]:.3f}"
-        )
+        ratios.append(measured[0] / measured[1])
+        if args.memory:
+            base, new = (f"peak {m:.3f} MB" for m in measured)
+        else:
+            base, new = (f"{m:.{digits}f} s" for m in measured)
+        print(f"round {r + 1}: {label}, base {base}, new {new}, ratio {ratios[-1]:.3f}")
     print(f"median ratio {statistics.median(ratios):.3f} over {args.rounds} rounds")
     return 0
 
