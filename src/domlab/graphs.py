@@ -110,8 +110,10 @@ class Graph:
     """Immutable simple graph on vertices 0..n-1 with bitmask adjacency rows.
 
     `adj[v]` holds the open neighborhood of v; `closed[v]` additionally
-    includes v itself.  Construction validates symmetry, irreflexivity, and
-    n >= 1, so downstream code never re-checks these invariants.
+    includes v itself.  `Graph(n, adj)` checks the rows it is given for
+    n >= 1, range, irreflexivity and symmetry, so downstream code never
+    re-checks these invariants.  domlab's own builders, whose rows are
+    valid by construction, skip the check through `Graph._unchecked`.
     """
 
     __slots__ = ("n", "adj", "closed", "full_mask", "m", "name", "_hash")
@@ -122,8 +124,17 @@ class Graph:
         adj = tuple(adj)
         if len(adj) != n:
             raise BadEdgeError(f"expected {n} adjacency rows, got {len(adj)}")
-        if not _rows_symmetric(n, adj):
-            _raise_first_bad_row(n, adj)
+        _check_rows(n, adj)
+        self._fill(n, adj, name)
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: Sequence[int], name: str | None = None) -> Graph:
+        """A graph on n >= 1 vertices whose rows are valid by construction."""
+        g = cls.__new__(cls)
+        g._fill(n, tuple(adj), name)
+        return g
+
+    def _fill(self, n: int, adj: tuple[int, ...], name: str | None) -> None:
         self.n = n
         self.adj = adj
         # From a list, not a generator.  A tuple built from a generator is
@@ -157,27 +168,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}{label})"
 
 
-def _rows_symmetric(n: int, adj: tuple[int, ...]) -> bool:
-    """True when the rows are a valid simple graph: bits in range, no
-    self-loops, symmetric.  Each edge above the diagonal is checked against
-    its mirror below it; then a bit below the diagonal without a mirror
-    above shows as a surplus in the bit counts.  So every edge is walked
-    once."""
-    upper = 0
-    for u, row in enumerate(adj):
-        if row < 0 or row >> n or (row >> u) & 1:
-            return False
-        m = row >> (u + 1)
-        upper += m.bit_count()
-        while m:
-            bit = m & -m
-            m ^= bit
-            if not (adj[u + bit.bit_length()] >> u) & 1:
-                return False
-    return 2 * upper == sum(row.bit_count() for row in adj)
-
-
-def _raise_first_bad_row(n: int, adj: tuple[int, ...]) -> None:
+def _check_rows(n: int, adj: tuple[int, ...]) -> None:
     """Raise BadEdgeError for the first fault in row order."""
     for u, row in enumerate(adj):
         if row < 0 or row >> n:
@@ -218,7 +209,8 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], name: str | None = None
     """Build a graph from an edge list.  Duplicate edges collapse silently.
 
     Raises EmptyGraphError for n <= 0 and BadEdgeError for out-of-range
-    endpoints or self-loops.
+    endpoints or self-loops.  These are the edge list's only checks: the
+    rows they leave are valid, so they skip Graph's.
     """
     if n <= 0:
         raise EmptyGraphError(f"graphs must have at least one vertex, got n={n}")
@@ -230,7 +222,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]], name: str | None = None
             raise BadEdgeError(f"self-loop ({u}, {v}) is not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, name)
+    return Graph._unchecked(n, rows, name)
 
 
 def closed_neighborhood_set(g: Graph, s: VertexSet) -> VertexSet:
@@ -259,6 +251,11 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
 
     Raises SizeOverflowError when the product would exceed MAX_PRODUCT_VERTICES.
     """
+    return ProductGraph(_product(g, h), g, h)
+
+
+def _product(g: Graph, h: Graph, name: str | None = None) -> Graph:
+    """The graph G x H of `cartesian_product`, named `name`."""
     n = g.n * h.n
     if n > MAX_PRODUCT_VERTICES:
         raise SizeOverflowError(
@@ -273,7 +270,7 @@ def cartesian_product(g: Graph, h: Graph) -> ProductGraph:
         base = u * n_h
         for v in range(n_h):
             rows[base + v] = (h.adj[v] << base) | (spread_g[u] << v)
-    return ProductGraph(Graph(n, rows), g, h)
+    return Graph._unchecked(n, rows, name)
 
 
 def _spread(mask: int, width: int) -> int:
@@ -523,7 +520,7 @@ def complete(n: int) -> Graph:
     if n < 1:
         raise BadParameterError(f"complete needs n >= 1, got {n}")
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)], name=f"K{n}")
+    return Graph._unchecked(n, [full ^ (1 << v) for v in range(n)], f"K{n}")
 
 
 def star(n: int) -> Graph:
@@ -541,8 +538,7 @@ def grid(m: int, n: int) -> Graph:
     """
     if m < 1 or n < 1:
         raise BadParameterError(f"grid needs m, n >= 1, got ({m}, {n})")
-    pg = cartesian_product(path(m), path(n))
-    return Graph(pg.graph.n, pg.graph.adj, name=f"grid{m}x{n}")
+    return _product(path(m), path(n), f"grid{m}x{n}")
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
@@ -562,4 +558,4 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    return Graph(n, rows, name=f"gnp:{n}:{p}:{seed}")
+    return Graph._unchecked(n, rows, f"gnp:{n}:{p}:{seed}")

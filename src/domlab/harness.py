@@ -473,7 +473,7 @@ def enumerate_connected_graphs(n: int) -> list[Graph]:
     """
     pairs, reps = _least_masks(n)
     rows = (_connected_rows(mask, pairs, n) for mask in reps)
-    return [Graph(n, r) for r in rows if r is not None]
+    return [Graph._unchecked(n, r) for r in rows if r is not None]
 
 
 def remark_search(

@@ -34,6 +34,7 @@ from domlab import (
     grid,
     is_dominating,
     make_graph,
+    parse_graph6,
     path,
     random_gnp,
     solve_product,
@@ -158,6 +159,24 @@ def test_asymmetric_edge_rejected():
     rows[0] |= 1 << 3  # a bit only above the diagonal
     with pytest.raises(BadEdgeError, match=r"asymmetric edge \(0, 3\)"):
         Graph(5, rows)
+
+
+def test_every_builder_emits_rows_the_public_constructor_accepts():
+    # The builders skip Graph's row check, so this is what catches one that
+    # emits an out-of-range, looped or one-sided row.
+    built = [f(n) for f in (path, star, complete) for n in range(1, 9)]
+    built += [cycle(n) for n in range(3, 9)]
+    built += [grid(a, b) for a in range(1, 5) for b in range(1, 6)]
+    built += [random_gnp(n, p, s) for s in range(3) for n, p in [(9, 0.3), (12, 0.8)]]
+    small = [g for n in range(1, 5) for g in harness.enumerate_connected_graphs(n)]
+    built += [cartesian_product(g, h).graph for g, h in itertools.product(small, small)]
+    built += [g for n in range(1, 7) for g in harness.enumerate_connected_graphs(n)]
+    built += [parse_graph6(encode_graph6(g)) for g in built]
+    for g in built:
+        again = Graph(g.n, g.adj, g.name)
+        assert again == g
+        assert again.closed == g.closed and again.m == g.m
+        assert again.full_mask == g.full_mask and hash(again) == hash(g)
 
 
 def test_graph_equality_ignores_name():

@@ -78,6 +78,9 @@ BUDGETLESS_MEMO = """def _by_graph_and_candidates(solve):
 
 @_by_graph_and_candidates
 """
+BUILDER_ROWS = (
+    "test_graphs.py::test_every_builder_emits_rows_the_public_constructor_accepts"
+)
 ENUMERATION_TESTS = (
     "test_harness.py::test_enumeration_counts",
     "test_harness.py::test_each_representative_is_the_least_mask_of_its_orbit",
@@ -132,6 +135,11 @@ MUTANTS = (
      "minimal = memo.get(q, False)", REMARK_MEMO_TESTS),
     ("plain-solve-ignores-budget", "solver.py", "@functools.lru_cache(maxsize=4096)\n",
      BUDGETLESS_MEMO, PLAIN_SOLVE_TESTS),
+    ("product-row-misses-mirror", "graphs.py",
+     "(h.adj[v] << base) | (spread_g[u] << v)",
+     "(h.adj[v] << base) | (spread_g[u] << v if u else 0)", (BUILDER_ROWS,)),
+    ("make-graph-accepts-self-loop", "graphs.py", "if u == v:", "if False:",
+     ("test_graphs.py::test_self_loop_rejected",)),
 )
 
 
