@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import inspect
+import itertools
 import json
 import random
 import re
@@ -684,6 +686,52 @@ def test_enumerate_matches_brute_force_order_and_truncation():
             assert enum.gamma == len(expected[0])
             assert [s.members for s in enum.sets] == expected[:cap]
             assert enum.truncated == (len(expected) > cap)
+
+
+def test_dominating_sets_match_brute_force_at_every_size():
+    # Sizes above gamma list every dominating set of that size; they are
+    # the only way to reach a last pick with nothing left to cover.  Sizes
+    # above n list nothing.
+    small = [f for n in range(1, 5) for f in enumerate_connected_graphs(n)]
+    graphs = [
+        cartesian_product(f, h).graph
+        for a, f in enumerate(small)
+        for h in small[a:]
+    ]
+    rng = random.Random(4444)
+    seeded = [random_graph(rng, max_n=9) for _ in range(20)]
+    assert sum(g.m == 0 for g in seeded) >= 2
+    for g in graphs + seeded:
+        closed = g.closed
+        gamma = gamma_bb(g).gamma
+        for size in range(gamma, g.n + 3):
+            expected = [
+                sum(1 << v for v in combo)
+                for combo in itertools.combinations(range(g.n), size)
+                if functools.reduce(int.__or__, (closed[v] for v in combo)) == g.full_mask
+            ]
+            engine = _BranchAndBound(g, 10**7)
+            assert list(engine.dominating_sets(size)) == expected, (g, size)
+
+
+@pytest.mark.parametrize(
+    "g, sets, nodes",
+    [
+        (cartesian_product(path(4), path(4)).graph, 2, 23),
+        (cartesian_product(path(5), path(5)).graph, 22, 724),
+        (cartesian_product(star(6), star(6)).graph, 2, 136),
+        (cartesian_product(cycle(6), cycle(5)).graph, 60, 1_224),
+    ],
+    ids=["P4xP4", "P5xP5", "S6xS6", "C6xC5"],
+)
+def test_enumerator_nodes_on_the_remark_pairs_are_pinned(g, sets, nodes):
+    # The four fixed pairs of the benchmark's `remark` workload: the minimum
+    # sets each lists and the enumerator's nodes after `minimize`.
+    engine = _BranchAndBound(g, 10**6)
+    gamma = engine.minimize(g.full_mask)
+    before = engine.nodes
+    assert sum(1 for _ in engine.dominating_sets(gamma)) == sets
+    assert engine.nodes - before == nodes
 
 
 def test_enumerate_charges_gamma_and_listing_to_one_budget():
