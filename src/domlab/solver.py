@@ -117,10 +117,18 @@ whose highest dominator is at most t) gives that bound without the walk.
 The counting bound takes the suffix's form: `widest[i]` is the largest
 closed neighbourhood among vertices i..n-1, and a pick v is pushed only
 when the slots - 1 picks after it, all above v, can cover what v leaves,
-that is at most (slots - 1) * widest[v + 1] vertices (with no slot left,
-v must cover everything).  A pick that fails this has no dominating set
-in its subtree, so the search yields the same sets in the same order and
-only visits fewer nodes.
+that is at most (slots - 1) * widest[v + 1] vertices.  A pick that fails
+this has no dominating set in its subtree, so the search yields the same
+sets in the same order and only visits fewer nodes.  The last pick is
+listed in closed form, without a walk: at a node with one slot left from
+position i on, the sets are the picks plus each x >= i whose closed
+neighbourhood covers what is left, in ascending order.  Each such x
+dominates the lowest uncovered vertex, so only its dominators are tried;
+when nothing is left, every x >= i completes a set (sizes above gamma
+reach this).  These are exactly the picks that `_scan`, the `upto` bound
+and the counting cut would keep there (with no slot after it, a pick must
+cover everything), and each listed set costs one node, as a pushed pick
+would.  A size above n lists nothing.
 
 A plain solve keeps every default: the lexmin witness, no symmetry, no
 floor.  `gamma_bb`'s plain calls and every `gamma_restricted` call go
@@ -403,17 +411,30 @@ class _BranchAndBound:
         sizes = (row.bit_count() for row in reversed(closed))
         widest = list(accumulate(sizes, max, initial=0))
         widest.reverse()
-        stack = [(0, 0, size, 0)]
+        stack = [(0, 0, size, 0)] if size <= n else []
         while stack:
             covered, i, slots, picks = stack.pop()
             self._tick()
-            if slots == 0:
-                if covered == full:
-                    yield picks
+            rest = full & ~covered
+            if slots == 1:
+                # The last pick, in closed form: each x >= i whose row covers
+                # `rest`, ascending, one node per set.  Such an x dominates
+                # the lowest uncovered vertex; with nothing left, any x does.
+                if rest:
+                    m = closed[(rest & -rest).bit_length() - 1] >> i << i
+                    while m:
+                        bit = m & -m
+                        m ^= bit
+                        if rest & ~closed[bit.bit_length() - 1] == 0:
+                            self._tick()
+                            yield picks | bit
+                else:
+                    for x in range(i, n):
+                        self._tick()
+                        yield picks | 1 << x
                 continue
             # `_scan` answers -1 on a dead node, and also when nothing is
             # left uncovered, which is not dead here.
-            rest = full & ~covered
             eligible = full & ~((1 << i) - 1)
             if rest and _scan(closed, full, covered, eligible, slots) < 0:
                 continue

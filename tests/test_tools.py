@@ -39,6 +39,24 @@ def test_paired_timing_runs_the_repo_against_itself(workload):
         assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])
 
 
+def test_paired_timing_rss_runs_the_repo_against_itself():
+    # Each side runs the same few remark operations in its own process,
+    # through bench/run.py's set-up and Phase, and reports its peak RSS.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "paired_timing.py"), str(ROOT),
+         str(ROOT), "--workload", "remark", "--seed", "1", "--ops", "5",
+         "--rounds", "1", "--rss"],
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 2
+    assert re.fullmatch(
+        r"round 1: 5 ops, base maxrss \d+\.\d{2} MB, new maxrss \d+\.\d{2} MB, "
+        r"ratio \d+\.\d{3}",
+        out[0],
+    ), out[0]
+    assert out[1] == "median ratio " + out[0].rsplit(" ", 1)[1] + " over 1 rounds"
+
+
 def test_mutants_kills_the_silenced_membership_check():
     # A check_membership that never records a violation passes every other
     # test; the corrupted-trace pin is what kills it.

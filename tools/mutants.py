@@ -36,6 +36,7 @@ SEARCH_TESTS = (
 ENUMERATOR_TESTS = (
     "test_solver.py::test_enumerate_matches_brute_force_order_and_truncation",
     "test_solver.py::test_enumerate_all_results_are_minimum_dominating",
+    "test_solver.py::test_dominating_sets_match_brute_force_at_every_size",
 )
 FOREIGN_PRODUCT = (
     "test_trace.py::test_trace_refuses_the_product_of_other_factors_of_the_same_orders"
@@ -140,6 +141,10 @@ MUTANTS = (
      "(h.adj[v] << base) | (spread_g[u] << v if u else 0)", (BUILDER_ROWS,)),
     ("make-graph-accepts-self-loop", "graphs.py", "if u == v:", "if False:",
      ("test_graphs.py::test_self_loop_rejected",)),
+    ("enumerator-last-pick-below-suffix", "solver.py", " >> i << i", "",
+     ENUMERATOR_TESTS),
+    ("enumerator-covered-rest-skips-one", "solver.py", "range(i, n)",
+     "range(i + 1, n)", ENUMERATOR_TESTS),
 )
 
 

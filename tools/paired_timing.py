@@ -3,6 +3,7 @@
     python3 tools/paired_timing.py BASE NEW --workload sweep --seed 7919 --ops 100 --rounds 4
     python3 tools/paired_timing.py BASE NEW --workload sweep --seed 7 --setup --rounds 20
     python3 tools/paired_timing.py BASE NEW --workload remark --memory --rounds 2
+    python3 tools/paired_timing.py BASE NEW --workload remark --rss --ops 30756 --rounds 1
 
 BASE and NEW are checkout roots (each holds `src/domlab` and `bench/`).
 Each checkout's package is loaded under its own name (`domlab_base`,
@@ -29,6 +30,17 @@ side's process-wide caches as its set-up left them, so its peaks include
 what they grow by; later rounds find them warm.  Both passes hold their
 answers until the round ends, the same on both sides when they agree.
 
+With `--rss` a round instead runs each side in a fresh subprocess,
+alternating which side goes first: the child sets the workload up and runs
+operations 0 to ops - 1 through that checkout's own `bench/run.py`
+(`set_up`, then `Phase.run`), and reports its peak resident set size
+(`ru_maxrss`, what `bench/run.py` reports as `peak_rss_mb`).  The round
+prints each side's peak in MB and their ratio, base over new (above 1: NEW
+holds less).  At equal operation counts this is the memory an operation
+costs; a timed `bench/run.py` run also mixes in how many operations it got
+through.  It stops with an error when a side runs fewer operations than
+asked, an operation fails, or the two sides' answers differ.
+
 Separate `bench/run.py` runs of one commit on a shared machine can spread
 by a third; two sides timed operation by operation share the machine's
 state, so their ratio stays steady across rounds.
@@ -40,6 +52,7 @@ import argparse
 import importlib.util
 import os
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -127,6 +140,50 @@ def memory_round(sides, ops: list, r: int) -> list[float] | None:
     return peaks
 
 
+# Run in a fresh interpreter by `rss_round`, with argv root, workload, seed
+# and ops: prints the peak resident set size in KB and the answers' digest.
+RSS_CHILD = """
+import os, resource, sys
+root, workload, seed, ops = sys.argv[1], sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+sys.path.insert(0, os.path.join(root, "bench"))
+import run
+run.import_domlab()
+from workloads import WORKLOADS, Stopwatch, load_reference
+wl = WORKLOADS[workload](load_reference())
+schedule = run.set_up(wl, seed, Stopwatch)[0]
+phase = run.Phase(wl, schedule).run(0, ops)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if phase.errors:
+    sys.exit(f"an operation failed: {phase.errors[0]}")
+if len(phase.latency) != ops:
+    sys.exit(f"the schedule ran out after {len(phase.latency)} of {ops} operations")
+print(rss, run.judge(wl, schedule, phase).answers)
+"""
+
+
+def rss_round(roots, workload: str, seed: int, ops: int, r: int) -> list[float] | None:
+    """Run the operations on each side in a fresh subprocess, alternating
+    which goes first: each side's peak RSS in MB, or None when a side fails
+    or the two sides answer differently."""
+    peaks = [0.0, 0.0]
+    answers = [None, None]
+    for s in (0, 1) if r % 2 == 0 else (1, 0):
+        child = subprocess.run(
+            [sys.executable, "-B", "-c", RSS_CHILD, roots[s], workload, str(seed),
+             str(ops)],
+            capture_output=True, text=True,
+        )
+        if child.returncode != 0:
+            print(child.stderr.strip(), file=sys.stderr)
+            return None
+        kb, answers[s] = child.stdout.split()
+        peaks[s] = int(kb) / 1024  # ru_maxrss is in KB on Linux
+    if answers[0] != answers[1]:
+        print("the two sides answer differently", file=sys.stderr)
+        return None
+    return peaks
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="root of the checkout to compare against")
@@ -142,15 +199,19 @@ def main(argv: list[str] | None = None) -> int:
         "--memory", action="store_true",
         help="measure each side's tracemalloc peak over the operations, not their time",
     )
+    ap.add_argument(
+        "--rss", action="store_true",
+        help="measure each side's peak RSS over the operations, each in a fresh process",
+    )
     args = ap.parse_args(argv)
     if args.ops < 1 or args.rounds < 1:
         ap.error("--ops and --rounds must be at least 1")
-    if args.setup and args.memory:
-        ap.error("--setup and --memory exclude each other")
+    if args.setup + args.memory + args.rss > 1:
+        ap.error("--setup, --memory and --rss exclude each other")
 
+    roots = [os.path.abspath(args.base), os.path.abspath(args.new)]
     sides = [
-        load_side(os.path.abspath(root), tag, args.workload)
-        for root, tag in ((args.base, "base"), (args.new, "new"))
+        load_side(root, tag, args.workload) for root, tag in zip(roots, ("base", "new"))
     ]
     ops = []
     if not args.setup:
@@ -168,6 +229,8 @@ def main(argv: list[str] | None = None) -> int:
             measured = setup_round(sides, args.seed, r)
         elif args.memory:
             measured = memory_round(sides, ops, r)
+        elif args.rss:
+            measured = rss_round(roots, args.workload, args.seed, args.ops, r)
         else:
             measured = ops_round(sides, ops, r)
         if measured is None:
@@ -175,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
         ratios.append(measured[0] / measured[1])
         if args.memory:
             base, new = (f"peak {m:.3f} MB" for m in measured)
+        elif args.rss:
+            base, new = (f"maxrss {m:.2f} MB" for m in measured)
         else:
             base, new = (f"{m:.{digits}f} s" for m in measured)
         print(f"round {r + 1}: {label}, base {base}, new {new}, ratio {ratios[-1]:.3f}")
