@@ -23,7 +23,8 @@ import tempfile
 from pathlib import Path
 
 # Written into each run's directory.  pairs.g6 holds two pairs for
-# `--pairs zip`: P3 with C4, and K4 with the star on four vertices.
+# `--pairs zip`: P3 with C4, and K4 with the star on four vertices
+# (`@pairs.g6` names its first graph, P3).
 INPUTS = {
     "pairs.g6": "Bg\nCl\nC~\nCs\n",
     "dom.txt": "1 4 7\n",
@@ -33,11 +34,14 @@ INPUTS = {
 INVOCATIONS = (
     ("gamma-human", ("gamma", "grid:3x4")),
     ("gamma-jsonl", ("gamma", "cycle:7", "--format", "jsonl")),
+    ("gamma-at-file", ("gamma", "@pairs.g6")),
+    ("gamma-gnp", ("gamma", "gnp:8:0.5:7", "--format", "jsonl")),
     ("product-graph6", ("product", "path:3", "cycle:4")),
     ("product-edges", ("product", "path:3", "cycle:4", "--format", "edges")),
     ("check-human", ("check", "cycle:5", "path:4")),
     ("check-csv", ("check", "cycle:5", "path:4", "--format", "csv")),
     ("check-jsonl", ("check", "cycle:5", "path:4", "--format", "jsonl")),
+    ("check-raw-graph6", ("check", "Bg", "Cl")),
     ("check-with-trace", ("check", "grid:2x3", "cycle:4", "--format", "jsonl",
                           "--with-trace")),
     # vertex_orbits runs out of steps on K44, with and without a fixed vertex.
@@ -65,6 +69,8 @@ INVOCATIONS = (
     # A node budget of 40 stops 7 of the 21 pairs, so error rows are compared.
     ("sweep-budget-errors", ("sweep", "--family", "cycles:3..8", "--node-budget", "40",
                              "--format", "jsonl")),
+    ("sweep-human-budget-errors", ("sweep", "--family", "cycles:3..8", "--node-budget", "40",
+                                   "--format", "human")),
     *((f"enumerate-{n}", ("enumerate", str(n))) for n in range(1, 8)),
     ("exit-2-bad-family", ("gamma", "cycless:3")),
     ("exit-3-node-budget", ("remark", "grid:6x6", "path:1", "--node-budget", "1000")),
