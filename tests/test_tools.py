@@ -65,6 +65,22 @@ def test_paired_timing_runs_the_repo_against_itself(workload):
         assert re.fullmatch(r"median ratio \d+\.\d{3} over 2 rounds", out[2])
 
 
+def test_paired_timing_rss_runs_the_repo_against_itself():
+    # Each side runs the same few remark operations in its own process,
+    # through bench/run.py's set-up and Phase, and reports a nonzero peak
+    # RSS; over one round the median ratio is that round's ratio.
+    done = paired_timing(ROOT, ROOT, "--workload", "remark", "--seed", "1", "--ops", "5",
+                         "--rounds", "1")
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.splitlines()
+    assert len(out) == 2
+    side = r"\d+\.\d{3} s maxrss (\d+\.\d{2}) MB"
+    match = re.fullmatch(rf"round 1: 5 ops, base {side}, new {side}, ratio \d+\.\d{{3}}", out[0])
+    assert match, out[0]
+    assert all(float(mb) > 0 for mb in match.groups()), out[0]
+    assert out[1] == "median ratio " + out[0].rsplit(" ", 1)[1] + " over 1 rounds"
+
+
 def test_paired_timing_reads_each_sides_own_memory(tmp_path):
     # One copy's remark_search keeps a written 4 KB page per call; over
     # 1,000 operations only that side's peak RSS shows the ~4 MB, because
